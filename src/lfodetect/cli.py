@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -40,7 +41,19 @@ EXIT_CRITICAL = 3
 
 _JOBS_ENV = "LFODETECT_JOBS"
 
+#: Keys a --config file may set; any other key is most likely a typo.
+_CONFIG_KEYS = frozenset({
+    "window_seconds", "stride_seconds", "expected_dt", "max_gap_fraction",
+    "order", "band", "match_tolerance", "min_amplitude_fraction", "jobs",
+})
+
+
+class InvalidSetting(ValueError):
+    """A flag, config-file or environment value of the wrong type or out of range."""
+
+
 _INPUT_ERRORS = (
+    InvalidSetting,
     FileUnreadable,
     SchemaMismatch,
     DtMismatch,
@@ -63,9 +76,20 @@ def _fmt(x: float) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    """Replace `path` by way of a unique temp file in the same directory, so
+    readers never see a partial file and concurrent runs never share one."""
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _sha256(path: Path) -> str:
@@ -183,6 +207,9 @@ def _load_config(path: Path | None) -> dict:
         raise SchemaMismatch(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SchemaMismatch(f"config {path} must hold a JSON object")
+    unknown = sorted(set(data) - _CONFIG_KEYS)
+    if unknown:
+        raise SchemaMismatch(f"config {path} has unknown key(s): {', '.join(unknown)}")
     return data
 
 
@@ -208,11 +235,12 @@ def _resolve_analysis(args, config: dict) -> AnalysisConfig:
     band = _setting(args, config, "band", (0.1, 2.0))
     if isinstance(band, str):
         band = _parse_band(band)
+    lo, hi = band
     order = _setting(args, config, "order", None)
     tolerance = _setting(args, config, "match_tolerance", None)
     return AnalysisConfig(
         prony_order=None if order in (None, "auto") else int(order),
-        emd_band_hz=(float(band[0]), float(band[1])),
+        emd_band_hz=(float(lo), float(hi)),
         match_tolerance_hz=None if tolerance in (None, "auto") else float(tolerance),
         min_mode_amplitude_fraction=float(_setting(args, config, "min_amplitude_fraction", 0.02)),
     )
@@ -223,6 +251,24 @@ def _resolve_jobs(args, config: dict) -> int:
     if value is None:
         value = config.get("jobs", os.environ.get(_JOBS_ENV, 1))
     return max(1, int(value))
+
+
+def _resolve_settings(args, analysis: bool = True):
+    """(policy, analysis config or None, jobs) from flags, then the config
+    file, then the environment, then the defaults.
+
+    Raises:
+        InvalidSetting: a value has the wrong type or is out of range.
+    """
+    config = _load_config(args.config)
+    try:
+        return (
+            _resolve_policy(args, config),
+            _resolve_analysis(args, config) if analysis else None,
+            _resolve_jobs(args, config),
+        )
+    except (TypeError, ValueError) as exc:
+        raise InvalidSetting(f"invalid setting: {exc}") from exc
 
 
 def _load_windows(args, policy: WindowingPolicy):
@@ -244,7 +290,7 @@ def _run_windows(windows, worker, jobs: int):
     return [worker(w) for w in windows]
 
 
-def _manifest(command: str, args, policy, cfg, inputs, window_entries, diagnostics, report, extra=None) -> dict:
+def _manifest(command: str, policy, cfg, inputs, window_entries, diagnostics, report, extra=None) -> dict:
     manifest = {
         "tool": {"name": "lfodetect", "version": __version__},
         "command": command,
@@ -323,9 +369,7 @@ def _write_imf_dump(path: Path, window, imf_set) -> None:
 
 
 def cmd_analyze(args) -> int:
-    config = _load_config(args.config)
-    policy = _resolve_policy(args, config)
-    cfg = _resolve_analysis(args, config)
+    policy, cfg, jobs = _resolve_settings(args)
     windows, report, diagnostics = _load_windows(args, policy)
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -340,7 +384,7 @@ def cmd_analyze(args) -> int:
         except Exception as exc:
             raise AnalysisFailure(f"{_window_prefix(w)}: {exc}") from exc
 
-    results = _run_windows(windows, worker, _resolve_jobs(args, config))
+    results = _run_windows(windows, worker, jobs)
     entries = []
     for w, (fit, imf_set, band_err) in sorted(
         zip(windows, results), key=lambda p: (p[0].station_id, p[0].channel.value, p[0].t0_ms)
@@ -362,7 +406,7 @@ def cmd_analyze(args) -> int:
         print(f"{prefix}: fit_quality={fit.fit_quality:.3g}")
         for m in sorted(fit.modes, key=lambda m: (-m.amplitude, m.frequency)):
             print(f"  amplitude={m.amplitude:.3g} damping={m.damping:.3g} frequency={m.frequency:.3g} Hz")
-    _write_manifest(args.out_dir, _manifest("analyze", args, policy, cfg, [args.archive],
+    _write_manifest(args.out_dir, _manifest("analyze", policy, cfg, [args.archive],
                                             entries, diagnostics, report))
     if not windows:
         print("no windows")
@@ -370,9 +414,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    config = _load_config(args.config)
-    policy = _resolve_policy(args, config)
-    cfg = _resolve_analysis(args, config)
+    policy, cfg, jobs = _resolve_settings(args)
     windows, report, diagnostics = _load_windows(args, policy)
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -382,7 +424,7 @@ def cmd_detect(args) -> int:
         except Exception as exc:
             raise AnalysisFailure(f"{_window_prefix(w)}: {exc}") from exc
 
-    results = _run_windows(windows, worker, _resolve_jobs(args, config))
+    results = _run_windows(windows, worker, jobs)
     ordered = sorted(zip(windows, results),
                      key=lambda p: (p[0].station_id, p[0].channel.value, p[0].t0_ms))
     alarm_lines = []
@@ -399,7 +441,7 @@ def cmd_detect(args) -> int:
     _atomic_write(alarms_path, "".join(line + "\n" for line in alarm_lines))
     for line in alarm_lines:
         print(line)
-    _write_manifest(args.out_dir, _manifest("detect", args, policy, cfg, [args.archive],
+    _write_manifest(args.out_dir, _manifest("detect", policy, cfg, [args.archive],
                                             entries, diagnostics, report,
                                             extra=[alarms_path.name]))
     if not windows:
@@ -408,8 +450,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    config = _load_config(args.config)
-    policy = _resolve_policy(args, config)
+    policy, _, jobs = _resolve_settings(args, analysis=False)
     windows, report, diagnostics = _load_windows(args, policy)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     window_fn = spectrum.WindowFunction(args.window_fn)
@@ -420,7 +461,7 @@ def cmd_spectrum(args) -> int:
         except Exception as exc:
             raise AnalysisFailure(f"{_window_prefix(w)}: {exc}") from exc
 
-    results = _run_windows(windows, worker, _resolve_jobs(args, config))
+    results = _run_windows(windows, worker, jobs)
     entries = []
     for w, spec in sorted(zip(windows, results),
                           key=lambda p: (p[0].station_id, p[0].channel.value, p[0].t0_ms)):
@@ -438,7 +479,7 @@ def cmd_spectrum(args) -> int:
         entries.append({"station_id": w.station_id, "channel": w.channel.value,
                         "t0_ms": w.t0_ms, "samples": w.count,
                         "outcome": "analyzed", "artifacts": [name]})
-    _write_manifest(args.out_dir, _manifest("spectrum", args, policy, None, [args.archive],
+    _write_manifest(args.out_dir, _manifest("spectrum", policy, None, [args.archive],
                                             entries, diagnostics, report))
     if not windows:
         print("no windows")

@@ -3,8 +3,10 @@
 Four chained steps:
   1. fit a linear prediction model of order N to the samples
      (least squares over the Hankel-structured prediction equations);
-  2. root the characteristic polynomial with an Aberth-Ehrlich
-     simultaneous iteration;
+  2. root the characteristic polynomial as the eigenvalues of its
+     companion matrix (LAPACK via np.roots; a deviation from the
+     Aberth-Ehrlich iteration of the original method, chosen because it
+     is backward stable and returns exact conjugate pairs);
   3. map each root z to (damping, frequency) via log(z)/dt, collapsing
      conjugate pairs to a single nonnegative-frequency entry;
   4. solve the complex Vandermonde system for per-root weights by least
@@ -41,8 +43,6 @@ MAX_DAMPING_DURATION = 20.0
 #: Condition-number estimate above which amplitude results are flagged.
 ILL_CONDITION_LIMIT = 1e12
 
-_ABERTH_TOL = 1e-12
-_ABERTH_MAX_ITER = 200
 _RESIDUAL_FACTOR = 1e-8
 
 
@@ -55,7 +55,7 @@ class InsufficientExcitation(ValueError):
 
 
 class RootSolverDiverged(RuntimeError):
-    """Root iteration hit its cap with residuals above tolerance."""
+    """A computed root leaves a residual above tolerance."""
 
 
 def fit_lpm(w: SampleWindow, order: int) -> np.ndarray:
@@ -81,96 +81,39 @@ def fit_lpm(w: SampleWindow, order: int) -> np.ndarray:
     return coeffs
 
 
-def _polyval(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    out = np.full_like(z, coeffs[0], dtype=complex)
-    for c in coeffs[1:]:
-        out = out * z + c
-    return out
+def _group_roots(roots, pair_tol: float = 1e-6) -> np.ndarray:
+    """One representative per root group of a conjugate-closed root list.
 
+    Numerically real roots (|Im z| <= 1e-8 * (1 + |z|)) come first as exact
+    reals in ascending order, then one entry per conjugate pair with
+    positive imaginary part, ordered on (real, imag). A pair's
+    representative is therefore the only entry with Im > 0. Deterministic:
+    any arrangement of the same multiset yields the same sequence.
 
-def _aberth(coeffs: np.ndarray) -> np.ndarray:
-    """All roots of a monic polynomial by Aberth-Ehrlich simultaneous
-    iteration, started on a circle at the Cauchy root bound."""
-    deg = coeffs.size - 1
-    if deg == 1:
-        return np.array([-coeffs[1] / coeffs[0]], dtype=complex)
-    dcoeffs = coeffs[:-1] * np.arange(deg, 0, -1)
-    radius = 1.0 + float(np.max(np.abs(coeffs[1:])))
-    angles = TWO_PI * (np.arange(deg) + 0.25) / deg
-    z = radius * np.exp(1j * angles)
-    for _ in range(_ABERTH_MAX_ITER):
-        p = _polyval(coeffs, z)
-        dp = _polyval(dcoeffs, z)
-        dp = np.where(dp == 0, 1e-30, dp)
-        newton = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        repulsion = np.sum(1.0 / diff, axis=1)
-        step = newton / (1.0 - newton * repulsion)
-        step = np.where(np.isfinite(step), step, 0.0)
-        z = z - step
-        if float(np.max(np.abs(step))) < _ABERTH_TOL:
-            break
-    return z
-
-
-def _group_roots(roots, pair_tol: float = 1e-6) -> list[tuple[complex, str]]:
-    """Group roots into conjugate pairs and (numerically) real singles.
-
-    Returns (representative, kind) entries, kind in {"real", "pair", "lone"};
-    pair representatives carry positive imaginary part. Deterministic: roots
-    are processed in (real, imag) lexicographic order, so repeated grouping
-    of the same multiset always yields the same sequence.
+    Raises:
+        ValueError: a complex root has no conjugate partner within
+            pair_tol * (1 + |z|).
     """
-    rts = np.asarray(roots, dtype=complex)
-    order = np.lexsort((rts.imag, rts.real))
-    used = np.zeros(rts.size, dtype=bool)
-    groups: list[tuple[complex, str]] = []
-    for i in order:
-        if used[i]:
-            continue
-        z = rts[i]
-        used[i] = True
-        scale = 1.0 + abs(z)
-        if abs(z.imag) <= 1e-8 * scale:
-            groups.append((complex(z.real, 0.0), "real"))
-            continue
-        best_j, best_d = -1, math.inf
-        for j in order:
-            if used[j]:
-                continue
-            d = abs(rts[j] - np.conj(z))
-            if d < best_d:
-                best_j, best_d = j, d
-        if best_j >= 0 and best_d <= pair_tol * scale:
-            used[best_j] = True
-            rep = 0.5 * (z + np.conj(rts[best_j]))
-            if rep.imag < 0:
-                rep = np.conj(rep)
-            groups.append((complex(rep), "pair"))
-        else:
-            logger.warning("characteristic root %s has no conjugate partner", z)
-            groups.append((complex(z), "lone"))
-    return groups
-
-
-def _flatten_groups(groups) -> np.ndarray:
-    flat: list[complex] = []
-    for lam, kind in groups:
-        flat.append(lam)
-        if kind == "pair":
-            flat.append(complex(np.conj(lam)))
-    return np.asarray(flat, dtype=complex)
+    rts = np.asarray(roots, dtype=complex).ravel()
+    scale = 1.0 + np.abs(rts)
+    real = np.abs(rts.imag) <= 1e-8 * scale
+    upper = np.sort_complex(rts[~real & (rts.imag > 0)])
+    lower = np.sort_complex(np.conj(rts[~real & (rts.imag < 0)]))
+    if upper.size != lower.size or np.any(np.abs(upper - lower) > pair_tol * (1.0 + np.abs(upper))):
+        raise ValueError("complex characteristic roots must come in conjugate pairs")
+    return np.concatenate((np.sort(rts[real].real).astype(complex), 0.5 * (upper + lower)))
 
 
 def characteristic_roots(a) -> np.ndarray:
-    """All N roots of  z^N - a_1 z^(N-1) - ... - a_N.
+    """All N roots of  z^N - a_1 z^(N-1) - ... - a_N, as the eigenvalues of
+    the companion matrix (LAPACK, via np.roots).
 
-    Output is conjugate-closed for real coefficients (pairs are symmetrized
-    exactly) and each root satisfies |p(root)| <= 1e-8 * max|coefficient|.
+    Output is conjugate-closed for real coefficients (pairs are exact
+    conjugates, trailing zero coefficients give exact zero roots) and each
+    root satisfies |p(root)| <= 1e-8 * max|coefficient|.
 
     Raises:
-        RootSolverDiverged: iteration cap hit with residual above tolerance.
+        RootSolverDiverged: a root's residual is above that tolerance.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 1 or a.size < 1:
@@ -178,27 +121,21 @@ def characteristic_roots(a) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("coefficients must be finite")
     full = np.concatenate(([1.0], -a))
-    # deflate exact zero roots so the iteration only sees a nonzero tail
-    coeffs = full
-    n_zero = 0
-    while coeffs.size > 1 and coeffs[-1] == 0.0:
-        coeffs = coeffs[:-1]
-        n_zero += 1
-    roots = _aberth(coeffs) if coeffs.size > 1 else np.empty(0, dtype=complex)
-    roots = np.concatenate([roots, np.zeros(n_zero, dtype=complex)])
-    residual = np.abs(_polyval(full, roots))
+    roots = np.roots(full).astype(complex)
+    residual = np.abs(np.polyval(full, roots))
     tolerance = _RESIDUAL_FACTOR * float(np.max(np.abs(full)))
     if np.any(residual > tolerance):
         raise RootSolverDiverged(
             f"max residual {residual.max():.3e} exceeds tolerance {tolerance:.3e}"
         )
-    return _flatten_groups(_group_roots(roots))
+    return roots
 
 
 def roots_to_modes(roots, dt: float) -> list[tuple[float, float]]:
     """(damping, frequency) per root group: damping = Re(log z)/dt and
     frequency = |Im(log z)| / (2*pi*dt).
 
+    The root list must be conjugate-closed (ValueError otherwise).
     Conjugate pairs collapse to one entry with frequency >= 0; real positive
     roots map to frequency 0; real negative roots land on the Nyquist
     frequency. Zero roots have no logarithm and are dropped with a warning.
@@ -207,73 +144,60 @@ def roots_to_modes(roots, dt: float) -> list[tuple[float, float]]:
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    out: list[tuple[float, float]] = []
-    for lam, _ in _group_roots(roots):
-        if lam == 0:
-            logger.warning("dropping zero characteristic root: no finite continuous-time mode")
-            continue
-        ln = np.log(lam)
-        out.append((float(ln.real) / dt, abs(float(ln.imag)) / (TWO_PI * dt)))
-    return out
+    reps = _group_roots(roots)
+    if np.any(reps == 0):
+        logger.warning("dropping zero characteristic root: no finite continuous-time mode")
+    ln = np.log(reps[reps != 0])
+    return list(zip((ln.real / dt).tolist(), (np.abs(ln.imag) / (TWO_PI * dt)).tolist()))
 
 
 def solve_amplitudes(w: SampleWindow, roots) -> list[tuple[float, float]]:
     """(amplitude, phase) per root group from the least-squares solution of
     the Vandermonde system built on the given roots.
 
-    Conjugate pairs yield amplitude 2|B| and phase arg(B); real roots yield
-    |B| with phase 0 or pi. Entries align one-to-one with roots_to_modes
-    output for the same root list. A condition estimate above 1e12 is
-    logged as a warning; the result is still returned.
+    The root list must be conjugate-closed and free of zero roots
+    (ValueError otherwise). Conjugate pairs yield amplitude 2|B| and phase
+    arg(B); real roots yield |B| with phase 0 or pi. Entries align
+    one-to-one with roots_to_modes output for the same root list. A
+    condition estimate above 1e12 is logged as a warning; the result is
+    still returned.
     """
     validate_window(w)
-    groups = _group_roots(roots)
-    if any(lam == 0 for lam, _ in groups):
+    reps = _group_roots(roots)
+    if np.any(reps == 0):
         raise ValueError("zero roots have no mode; drop them before solving amplitudes")
-    if not groups:
+    if not reps.size:
         return []
-    columns = _flatten_groups(groups)
-    count = w.count
-    vander = np.empty((count, columns.size), dtype=complex)
-    vander[0] = 1.0
-    if count > 1:
-        vander[1:] = np.cumprod(np.tile(columns, (count - 1, 1)), axis=0)
-    weights, *_ = np.linalg.lstsq(vander, w.samples.astype(complex), rcond=None)
-    condition = float(np.linalg.cond(vander))
+    pairs = reps.imag > 0
+    columns = np.concatenate((reps, np.conj(reps[pairs])))
+    vander = np.vander(columns, w.count, increasing=True).T
+    weights, _, _, singular = np.linalg.lstsq(vander, w.samples.astype(complex), rcond=None)
+    condition = float(singular[0] / singular[-1]) if singular[-1] > 0 else math.inf
     if condition > ILL_CONDITION_LIMIT:
         logger.warning(
             "Vandermonde system ill-conditioned (cond ~ %.2e); amplitudes may be unreliable",
             condition,
         )
-    out: list[tuple[float, float]] = []
-    cursor = 0
-    for _, kind in groups:
-        if kind == "pair":
-            b = 0.5 * (weights[cursor] + np.conj(weights[cursor + 1]))
-            cursor += 2
-            out.append((2.0 * abs(b), wrap_angle(float(np.angle(b)))))
-        elif kind == "real":
-            b = weights[cursor]
-            cursor += 1
-            out.append((abs(b), 0.0 if b.real >= 0 else math.pi))
-        else:  # lone complex root; unreachable for real windows
-            b = weights[cursor]
-            cursor += 1
-            out.append((2.0 * abs(b), wrap_angle(float(np.angle(b)))))
-    return out
+    b = weights[: reps.size]
+    b[pairs] = 0.5 * (b[pairs] + np.conj(weights[reps.size :]))
+    return [
+        (2.0 * abs(x), wrap_angle(float(np.angle(x)))) if pair else (abs(x), 0.0 if x.real >= 0 else math.pi)
+        for x, pair in zip(b.tolist(), pairs.tolist())
+    ]
 
 
-def _mode_signal(amplitude, damping, frequency, phase, t: np.ndarray) -> np.ndarray:
+def _mode_matrix(params, count: int, dt: float) -> np.ndarray:
+    """(count, modes) matrix whose column k is the k-th (amplitude, damping,
+    frequency, phase) mode of `params` sampled at t = 0, dt, ..."""
+    amplitude, damping, frequency, phase = np.array(params, dtype=float).reshape(-1, 4).T
+    t = np.arange(count)[:, None] * dt
     return amplitude * np.exp(damping * t) * np.cos(TWO_PI * frequency * t + phase)
 
 
 def reconstruct(fit: PronyFit, count: int, dt: float) -> np.ndarray:
     """Evaluate the fitted mode sum on a fresh time grid of `count` samples."""
-    t = np.arange(count) * dt
-    out = np.zeros(count)
-    for m in fit.modes:
-        out += _mode_signal(m.amplitude, m.damping, m.frequency, m.phase, t)
-    return out
+    params = [(m.amplitude, m.damping, m.frequency, m.phase) for m in fit.modes]
+    return _mode_matrix(params, count, dt).sum(axis=1)
 
 
 def prony_analyze(w: SampleWindow, cfg: AnalysisConfig | None = None) -> PronyFit:
@@ -287,24 +211,20 @@ def prony_analyze(w: SampleWindow, cfg: AnalysisConfig | None = None) -> PronyFi
     cfg = cfg or AnalysisConfig()
     validate_window(w)
     y = w.samples
-    count = y.size
-    order = cfg.resolve_order(count)
+    order = cfg.resolve_order(y.size)
     coeffs = fit_lpm(w, order)
     all_roots = characteristic_roots(coeffs)
-    duration = w.duration
 
-    kept: list[tuple[complex, str]] = []
-    for lam, kind in _group_roots(all_roots):
-        if lam == 0:
-            logger.warning("dropping zero characteristic root")
-            continue
-        sigma = float(np.log(lam).real) / w.dt
-        if abs(sigma) * duration > MAX_DAMPING_DURATION:
-            logger.debug("discarding damping artifact: sigma=%.3g 1/s", sigma)
-            continue
-        kept.append((lam, kind))
-
-    flat = _flatten_groups(kept)
+    # Both roots of a pair share |z|, so filtering on it keeps the list
+    # conjugate-closed. Zero roots get sigma = -inf and fall out here too.
+    with np.errstate(divide="ignore"):
+        damping = np.log(np.abs(all_roots)) / w.dt
+    keep = np.abs(damping) * w.duration <= MAX_DAMPING_DURATION
+    if np.any(all_roots == 0):
+        logger.warning("dropping zero characteristic root")
+    if not np.all(keep):
+        logger.debug("discarding %d zero or damping-artifact root(s)", int(np.sum(~keep)))
+    flat = all_roots[keep]
     sigma_freq = roots_to_modes(flat, w.dt) if flat.size else []
     amp_phase = solve_amplitudes(w, flat) if flat.size else []
 
@@ -316,8 +236,8 @@ def prony_analyze(w: SampleWindow, cfg: AnalysisConfig | None = None) -> PronyFi
         floor = cfg.min_mode_amplitude_fraction * max(amp for amp, *_ in raw)
         raw = [m for m in raw if m[0] >= floor]
 
-    t = np.arange(count) * w.dt
-    energies = [float(np.sum(_mode_signal(a, s, f, p, t) ** 2)) for a, s, f, p in raw]
+    signals = _mode_matrix(raw, y.size, w.dt)
+    energies = np.sum(signals**2, axis=0).tolist()
     total_energy = sum(energies)
     modes = [
         PronyMode(
@@ -331,11 +251,9 @@ def prony_analyze(w: SampleWindow, cfg: AnalysisConfig | None = None) -> PronyFi
     ]
     modes.sort(key=lambda m: (-m.energy_fraction, m.frequency))
 
-    recon = np.zeros(count)
-    for m in modes:
-        recon += _mode_signal(m.amplitude, m.damping, m.frequency, m.phase, t)
     norm_y = float(np.linalg.norm(y))
-    quality = 1.0 - float(np.linalg.norm(y - recon)) / norm_y if norm_y > 0 else 0.0
+    residual = float(np.linalg.norm(y - signals.sum(axis=1)))
+    quality = 1.0 - residual / norm_y if norm_y > 0 else 0.0
 
     return PronyFit(
         order=order,

@@ -1,9 +1,11 @@
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from lfodetect.cli import main
+from lfodetect.cli import _atomic_write, main
 
 HEADER = "timestamp_ms,station_id,channel,value"
 
@@ -258,3 +260,68 @@ class TestBadConfig:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"band": "oops"}))
         assert run("detect", archive, "--out-dir", tmp_path / "o", "--config", config) == 2
+
+    @pytest.mark.parametrize(
+        "flags, env, settings, message",
+        [
+            (["--band", "2,1"], None, None, "band must satisfy"),
+            (["--stride-seconds", "30"], None, None, "stride must satisfy"),
+            ([], "abc", None, "'abc'"),
+            ([], None, {"order": "x"}, "'x'"),
+            ([], None, {"windw_seconds": 10}, "unknown key(s): windw_seconds"),
+        ],
+        ids=["inverted-band", "stride-over-window", "jobs-env-not-int", "order-not-int", "unknown-key"],
+    )
+    def test_invalid_setting_is_input_error(self, tmp_path, capsys, monkeypatch, flags, env, settings, message):
+        archive = tmp_path / "a.csv"
+        run("synth", "--tone", "1,0.7", "--seconds", "25.04", "-o", archive)
+        capsys.readouterr()
+        if env is not None:
+            monkeypatch.setenv("LFODETECT_JOBS", env)
+        if settings is not None:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps(settings))
+            flags = flags + ["--config", config]
+        assert run("detect", archive, "--out-dir", tmp_path / "o", *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "o").exists()
+
+
+class TestAtomicWrite:
+    def test_mode_follows_umask_and_no_temp_left(self, tmp_path):
+        _atomic_write(tmp_path / "out.txt", "new\n")
+        (tmp_path / "plain.txt").write_text("new\n")
+        assert (tmp_path / "out.txt").read_text() == "new\n"
+        assert (tmp_path / "out.txt").stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "plain.txt"]
+
+    def test_failed_replace_removes_temp(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.txt"
+        target.write_text("old\n")
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            _atomic_write(target, "new\n")
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_concurrent_writers_to_one_path(self, tmp_path):
+        # runs sharing an --out-dir write the same names at the same time;
+        # each write must land whole and none may fail
+        target = tmp_path / "alarms.jsonl"
+        texts = [f"writer {i}\n" * 1000 for i in range(4)]
+
+        def write_many(text):
+            for _ in range(50):
+                _atomic_write(target, text)
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for future in [pool.submit(write_many, t) for t in texts]:
+                future.result(timeout=60)
+        assert target.read_text() in texts
+        assert [p.name for p in tmp_path.iterdir()] == ["alarms.jsonl"]

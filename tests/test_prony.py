@@ -111,6 +111,15 @@ class TestRootsToModes:
         modes = roots_to_modes([0.0 + 0j, 0.9 + 0j], 0.04)
         assert len(modes) == 1
 
+    @pytest.mark.parametrize(
+        "roots, dt",
+        [([0.9 + 0j], 0.0), ([0.9 + 0j], -0.04), ([cmath.exp(0.3j)], 0.04)],
+        ids=["zero-dt", "negative-dt", "unpaired-complex-root"],
+    )
+    def test_rejects_invalid_input(self, roots, dt):
+        with pytest.raises(ValueError):
+            roots_to_modes(roots, dt)
+
 
 class TestSolveAmplitudes:
     def test_exact_root_pair_recovery(self, make_window):
@@ -136,6 +145,9 @@ class TestSolveAmplitudes:
     def test_rejects_zero_roots(self, make_window):
         with pytest.raises(ValueError):
             solve_amplitudes(make_window(np.ones(20)), [0.0 + 0j])
+        # a complex root without its conjugate is rejected the same way
+        with pytest.raises(ValueError):
+            solve_amplitudes(make_window(np.ones(20)), [cmath.exp(0.3j)])
 
 
 class TestPronyAnalyze:
@@ -308,7 +320,9 @@ class TestDiagnostics:
     def test_root_solver_divergence_guard(self, monkeypatch):
         import lfodetect.prony as prony_mod
 
-        monkeypatch.setattr(prony_mod, "_ABERTH_MAX_ITER", 1)
+        # perturbed eigenvalues stand in for a root solver that went astray
+        exact_roots = np.roots
+        monkeypatch.setattr(np, "roots", lambda p: exact_roots(p) + 1e-3)
         with pytest.raises(prony_mod.RootSolverDiverged):
             rng = np.random.default_rng(0)
             characteristic_roots(rng.uniform(-2.0, 2.0, 20))
