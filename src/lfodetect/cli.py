@@ -15,12 +15,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-
 
 from . import __version__, detector, emd, prony, signalgen, spectrum
 from .core import AnalysisConfig, Channel, EmptyBand, Severity, ValidationError
@@ -30,6 +26,7 @@ from .ingest import (
     ParseReport,
     SchemaMismatch,
     WindowingPolicy,
+    _atomic_write,
     make_windows,
     read_archive,
     write_archive,
@@ -39,17 +36,19 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CRITICAL = 3
 
-_JOBS_ENV = "LFODETECT_JOBS"
-
 #: Keys a --config file may set; any other key is most likely a typo.
 _CONFIG_KEYS = frozenset({
     "window_seconds", "stride_seconds", "expected_dt", "max_gap_fraction",
-    "order", "band", "match_tolerance", "min_amplitude_fraction", "jobs",
+    "order", "band", "match_tolerance", "min_amplitude_fraction",
 })
 
 
 class InvalidSetting(ValueError):
-    """A flag, config-file or environment value of the wrong type or out of range."""
+    """A flag or config-file value of the wrong type or out of range."""
+
+
+class AnalysisFailure(RuntimeError):
+    """An analysis error with the window identity attached."""
 
 
 _INPUT_ERRORS = (
@@ -63,33 +62,13 @@ _INPUT_ERRORS = (
     prony.InsufficientExcitation,
     prony.RootSolverDiverged,
     argparse.ArgumentTypeError,
+    AnalysisFailure,
 )
-
-
-class AnalysisFailure(RuntimeError):
-    """An analysis error with the window identity attached."""
 
 
 def _fmt(x: float) -> str:
     """Full-precision numeric formatting (round-trips float64)."""
     return format(float(x), ".17g")
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    """Replace `path` by way of a unique temp file in the same directory, so
-    readers never see a partial file and concurrent runs never share one."""
-    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        # mkstemp creates the file 0600; give it the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def _sha256(path: Path) -> str:
@@ -144,7 +123,6 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-dir", type=Path, default=Path("."), help="output directory (default: cwd)")
     parser.add_argument("--config", type=Path, default=None, help="JSON config file; explicit flags win")
-    parser.add_argument("--jobs", type=int, default=None, help=f"parallel window workers (default ${_JOBS_ENV} or 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,16 +224,9 @@ def _resolve_analysis(args, config: dict) -> AnalysisConfig:
     )
 
 
-def _resolve_jobs(args, config: dict) -> int:
-    value = getattr(args, "jobs", None)
-    if value is None:
-        value = config.get("jobs", os.environ.get(_JOBS_ENV, 1))
-    return max(1, int(value))
-
-
 def _resolve_settings(args, analysis: bool = True):
-    """(policy, analysis config or None, jobs) from flags, then the config
-    file, then the environment, then the defaults.
+    """(policy, analysis config or None) from flags, then the config file,
+    then the defaults.
 
     Raises:
         InvalidSetting: a value has the wrong type or is out of range.
@@ -265,36 +236,20 @@ def _resolve_settings(args, analysis: bool = True):
         return (
             _resolve_policy(args, config),
             _resolve_analysis(args, config) if analysis else None,
-            _resolve_jobs(args, config),
         )
     except (TypeError, ValueError) as exc:
         raise InvalidSetting(f"invalid setting: {exc}") from exc
-
-
-def _load_windows(args, policy: WindowingPolicy):
-    report = ParseReport()
-    diagnostics: list[str] = []
-    records = list(read_archive(args.archive, report))
-    windows = make_windows(records, policy, diagnostics)
-    return windows, report, diagnostics
 
 
 def _window_prefix(w) -> str:
     return f"{w.station_id}_{w.channel.value}_{w.t0_ms}"
 
 
-def _run_windows(windows, worker, jobs: int):
-    if jobs > 1 and len(windows) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, windows))
-    return [worker(w) for w in windows]
-
-
-def _manifest(command: str, policy, cfg, inputs, window_entries, diagnostics, report, extra=None) -> dict:
+def _manifest(command: str, policy, cfg, archive: Path, entries, diagnostics, report, extra) -> dict:
     manifest = {
         "tool": {"name": "lfodetect", "version": __version__},
         "command": command,
-        "inputs": [{"path": str(p), "sha256": _sha256(Path(p))} for p in inputs],
+        "inputs": [{"path": str(archive), "sha256": _sha256(archive)}],
         "windowing": {
             "window_seconds": policy.window_seconds,
             "stride_seconds": policy.stride_seconds,
@@ -307,18 +262,44 @@ def _manifest(command: str, policy, cfg, inputs, window_entries, diagnostics, re
             "match_tolerance_hz": cfg.match_tolerance_hz,
             "min_mode_amplitude_fraction": cfg.min_mode_amplitude_fraction,
         } if cfg is not None else None,
-        "windows": window_entries,
+        "windows": entries,
         "skipped_windows": diagnostics,
-        "parse_issues": report.issues if report is not None else [],
-        "artifacts": sorted({a for e in window_entries for a in e.get("artifacts", [])} | set(extra or [])),
+        "parse_issues": report.issues,
+        "artifacts": sorted({a for e in entries for a in e["artifacts"]} | set(extra)),
     }
-    if not window_entries:
+    if not entries:
         manifest["note"] = "no windows"
     return manifest
 
 
-def _write_manifest(out_dir: Path, manifest: dict) -> None:
-    _atomic_write(out_dir / "run_manifest.json", json.dumps(manifest, indent=2) + "\n")
+def _run(args, command: str, policy, cfg, analyse, finish=None) -> None:
+    """Analyse the archive's windows one at a time, in the (station, channel,
+    t0) order `make_windows` emits, then write the run manifest.
+
+    `analyse(window, prefix)` writes the window's artifacts and returns its
+    (outcome, artifact names); an exception from it ends the run as an
+    AnalysisFailure naming the window. `finish()`, called after the last
+    window, writes run-level artifacts and returns their names.
+    """
+    report = ParseReport()
+    diagnostics: list[str] = []
+    windows = make_windows(read_archive(args.archive, report), policy, diagnostics)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for w in windows:
+        prefix = _window_prefix(w)
+        try:
+            outcome, artifacts = analyse(w, prefix)
+        except Exception as exc:
+            raise AnalysisFailure(f"{prefix}: {exc}") from exc
+        entries.append({"station_id": w.station_id, "channel": w.channel.value,
+                        "t0_ms": w.t0_ms, "samples": w.count,
+                        "outcome": outcome, "artifacts": artifacts})
+    extra = finish() if finish is not None else []
+    manifest = _manifest(command, policy, cfg, args.archive, entries, diagnostics, report, extra)
+    _atomic_write(args.out_dir / "run_manifest.json", [json.dumps(manifest, indent=2), "\n"])
+    if not windows:
+        print("no windows")
 
 
 def cmd_synth(args) -> int:
@@ -345,16 +326,12 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _write_mode_table(path: Path, fit) -> None:
-    lines = ["amplitude,damping,frequency_hz,phase_rad,energy_fraction,fit_quality"]
-    for m in sorted(fit.modes, key=lambda m: (-m.amplitude, m.frequency)):
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (m.amplitude, m.damping, m.frequency, m.phase, m.energy_fraction, fit.fit_quality)
-            )
-        )
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _write_mode_table(path: Path, modes, fit_quality: float) -> None:
+    rows = ["amplitude,damping,frequency_hz,phase_rad,energy_fraction,fit_quality"]
+    for m in modes:
+        rows.append(",".join(_fmt(v) for v in (m.amplitude, m.damping, m.frequency, m.phase,
+                                                m.energy_fraction, fit_quality)))
+    _atomic_write(path, (row + "\n" for row in rows))
 
 
 def _write_imf_dump(path: Path, window, imf_set) -> None:
@@ -365,124 +342,71 @@ def _write_imf_dump(path: Path, window, imf_set) -> None:
     rows = [header]
     for i in range(window.count):
         rows.append(",".join([_fmt(t[i])] + [_fmt(col[i]) for col in columns]))
-    _atomic_write(path, "\n".join(rows) + "\n")
+    _atomic_write(path, (row + "\n" for row in rows))
 
 
 def cmd_analyze(args) -> int:
-    policy, cfg, jobs = _resolve_settings(args)
-    windows, report, diagnostics = _load_windows(args, policy)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
+    policy, cfg = _resolve_settings(args)
 
-    def worker(w):
+    def analyse(w, prefix):
         try:
             target = emd.bandpass(w, cfg) if args.emd else w
-            fit = prony.prony_analyze(target, cfg)
-            imf_set = emd.decompose(w, cfg) if args.dump_imfs else None
-            return fit, imf_set, None
-        except EmptyBand as exc:
-            return None, None, exc
-        except Exception as exc:
-            raise AnalysisFailure(f"{_window_prefix(w)}: {exc}") from exc
-
-    results = _run_windows(windows, worker, jobs)
-    entries = []
-    for w, (fit, imf_set, band_err) in sorted(
-        zip(windows, results), key=lambda p: (p[0].station_id, p[0].channel.value, p[0].t0_ms)
-    ):
-        prefix = _window_prefix(w)
-        if band_err is not None:
-            entries.append({"station_id": w.station_id, "channel": w.channel.value,
-                            "t0_ms": w.t0_ms, "samples": w.count,
-                            "outcome": "empty-band", "artifacts": []})
-            continue
+        except EmptyBand:
+            return "empty-band", []
+        fit = prony.prony_analyze(target, cfg)
+        modes = sorted(fit.modes, key=lambda m: (-m.amplitude, m.frequency))
         artifacts = [f"{prefix}_modes.csv"]
-        _write_mode_table(args.out_dir / artifacts[0], fit)
-        if imf_set is not None:
+        _write_mode_table(args.out_dir / artifacts[0], modes, fit.fit_quality)
+        if args.dump_imfs:
             artifacts.append(f"{prefix}_imfs.csv")
-            _write_imf_dump(args.out_dir / artifacts[-1], w, imf_set)
-        entries.append({"station_id": w.station_id, "channel": w.channel.value,
-                        "t0_ms": w.t0_ms, "samples": w.count,
-                        "outcome": "analyzed", "artifacts": artifacts})
+            _write_imf_dump(args.out_dir / artifacts[1], w, emd.decompose(w, cfg))
         print(f"{prefix}: fit_quality={fit.fit_quality:.3g}")
-        for m in sorted(fit.modes, key=lambda m: (-m.amplitude, m.frequency)):
+        for m in modes:
             print(f"  amplitude={m.amplitude:.3g} damping={m.damping:.3g} frequency={m.frequency:.3g} Hz")
-    _write_manifest(args.out_dir, _manifest("analyze", policy, cfg, [args.archive],
-                                            entries, diagnostics, report))
-    if not windows:
-        print("no windows")
+        return "analyzed", artifacts
+
+    _run(args, "analyze", policy, cfg, analyse)
     return EXIT_OK
 
 
 def cmd_detect(args) -> int:
-    policy, cfg, jobs = _resolve_settings(args)
-    windows, report, diagnostics = _load_windows(args, policy)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
+    policy, cfg = _resolve_settings(args)
+    alarms = []
 
-    def worker(w):
-        try:
-            return detector.detect(w, cfg)
-        except Exception as exc:
-            raise AnalysisFailure(f"{_window_prefix(w)}: {exc}") from exc
+    def analyse(w, prefix):
+        found = detector.detect(w, cfg).alarms
+        alarms.extend(found)
+        return f"{len(found)} alarm(s)", []
 
-    results = _run_windows(windows, worker, jobs)
-    ordered = sorted(zip(windows, results),
-                     key=lambda p: (p[0].station_id, p[0].channel.value, p[0].t0_ms))
-    alarm_lines = []
-    entries = []
-    any_critical = False
-    for w, rep in ordered:
-        for alarm in rep.alarms:
-            alarm_lines.append(json.dumps(alarm.to_json_dict(), sort_keys=True))
-            any_critical = any_critical or alarm.severity is Severity.Critical
-        entries.append({"station_id": w.station_id, "channel": w.channel.value,
-                        "t0_ms": w.t0_ms, "samples": w.count,
-                        "outcome": f"{len(rep.alarms)} alarm(s)", "artifacts": []})
-    alarms_path = args.out_dir / "alarms.jsonl"
-    _atomic_write(alarms_path, "".join(line + "\n" for line in alarm_lines))
-    for line in alarm_lines:
-        print(line)
-    _write_manifest(args.out_dir, _manifest("detect", policy, cfg, [args.archive],
-                                            entries, diagnostics, report,
-                                            extra=[alarms_path.name]))
-    if not windows:
-        print("no windows")
-    return EXIT_CRITICAL if any_critical else EXIT_OK
+    def finish():
+        lines = [json.dumps(alarm.to_json_dict(), sort_keys=True) + "\n" for alarm in alarms]
+        _atomic_write(args.out_dir / "alarms.jsonl", lines)
+        sys.stdout.writelines(lines)
+        return ["alarms.jsonl"]
+
+    _run(args, "detect", policy, cfg, analyse, finish)
+    return EXIT_CRITICAL if any(a.severity is Severity.Critical for a in alarms) else EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
-    policy, _, jobs = _resolve_settings(args, analysis=False)
-    windows, report, diagnostics = _load_windows(args, policy)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
+    policy, _ = _resolve_settings(args, analysis=False)
+    if args.band is not None and not args.band[0] < args.band[1]:
+        raise InvalidSetting(f"invalid setting: band must satisfy low < high, got {args.band}")
     window_fn = spectrum.WindowFunction(args.window_fn)
 
-    def worker(w):
-        try:
-            return spectrum.dft(w, window_fn)
-        except Exception as exc:
-            raise AnalysisFailure(f"{_window_prefix(w)}: {exc}") from exc
-
-    results = _run_windows(windows, worker, jobs)
-    entries = []
-    for w, spec in sorted(zip(windows, results),
-                          key=lambda p: (p[0].station_id, p[0].channel.value, p[0].t0_ms)):
-        freqs, mags, phases = spec.one_sided()
+    def analyse(w, prefix):
+        freqs, mags, phases = spectrum.dft(w, window_fn).one_sided()
         if args.band is not None:
             lo, hi = args.band
             keep = (freqs >= lo) & (freqs <= hi)
             freqs, mags, phases = freqs[keep], mags[keep], phases[keep]
-        prefix = _window_prefix(w)
         name = f"{prefix}_spectrum.csv"
-        lines = ["frequency_hz,magnitude,phase_rad"]
-        for f, m, p in zip(freqs, mags, phases):
-            lines.append(f"{_fmt(f)},{_fmt(m)},{_fmt(p)}")
-        _atomic_write(args.out_dir / name, "\n".join(lines) + "\n")
-        entries.append({"station_id": w.station_id, "channel": w.channel.value,
-                        "t0_ms": w.t0_ms, "samples": w.count,
-                        "outcome": "analyzed", "artifacts": [name]})
-    _write_manifest(args.out_dir, _manifest("spectrum", policy, None, [args.archive],
-                                            entries, diagnostics, report))
-    if not windows:
-        print("no windows")
+        rows = ["frequency_hz,magnitude,phase_rad"]
+        rows += [f"{_fmt(f)},{_fmt(m)},{_fmt(p)}" for f, m, p in zip(freqs, mags, phases)]
+        _atomic_write(args.out_dir / name, (row + "\n" for row in rows))
+        return "analyzed", [name]
+
+    _run(args, "spectrum", policy, None, analyse)
     return EXIT_OK
 
 
@@ -495,9 +419,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except AnalysisFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -231,20 +232,42 @@ def make_windows(
     return windows
 
 
+def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
+    """Replace `path` with the concatenated text `chunks` by way of a unique
+    temp file in the same directory, synced to disk before the rename, so
+    readers never see a partial file, a crash never leaves an empty one and
+    concurrent writers never share a temp file."""
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+            handle.writelines(chunks)
+            handle.flush()
+            os.fsync(handle.fileno())
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_archive(path, windows: Iterable[SampleWindow]) -> None:
-    """Write windows as archive CSV (atomically: temp file then rename).
+    """Write windows as archive CSV, atomically and durably (see
+    `_atomic_write`).
 
     Values are formatted with 17 significant digits so a read-back
     reproduces them bit for bit.
     """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(ARCHIVE_HEADER + "\n")
+
+    def lines() -> Iterator[str]:
+        yield ARCHIVE_HEADER + "\n"
         for w in windows:
             base = w.t0_ms
             dt_ms = w.dt * 1000.0
             for m, value in enumerate(w.samples):
                 ts = base + int(round(m * dt_ms))
-                handle.write(f"{ts},{w.station_id},{w.channel.value},{value:.17g}\n")
-    os.replace(tmp, path)
+                yield f"{ts},{w.station_id},{w.channel.value},{value:.17g}\n"
+
+    _atomic_write(Path(path), lines())

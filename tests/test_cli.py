@@ -5,7 +5,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from lfodetect.cli import _atomic_write, main
+from lfodetect.cli import main
+from lfodetect.core import Channel, SampleWindow
+from lfodetect.ingest import _atomic_write, write_archive
 
 HEADER = "timestamp_ms,station_id,channel,value"
 
@@ -213,19 +215,30 @@ class TestMultiWindowAndJobs:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert [w["t0_ms"] for w in manifest["windows"]] == [0, 5000, 10000, 15000, 20000, 25000, 30000, 35000]
 
-    def test_jobs_concurrency_is_deterministic(self, long_archive, tmp_path):
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert run("detect", long_archive, "--out-dir", out1, "--jobs", "1") == 3
-        assert run("detect", long_archive, "--out-dir", out2, "--jobs", "4") == 3
-        assert (out1 / "alarms.jsonl").read_text() == (out2 / "alarms.jsonl").read_text()
+    def test_jobs_flag_is_usage_error(self, long_archive, tmp_path):
+        # windows run serially; there is no worker-count flag
+        assert run("detect", long_archive, "--out-dir", tmp_path / "out", "--jobs", "4") == 2
+        assert not (tmp_path / "out").exists()
 
     def test_jobs_env_var(self, long_archive, tmp_path, monkeypatch):
+        # the former LFODETECT_JOBS variable is ignored, even when malformed
+        monkeypatch.delenv("LFODETECT_JOBS", raising=False)
         baseline = tmp_path / "baseline"
-        assert run("detect", long_archive, "--out-dir", baseline, "--jobs", "1") == 3
-        monkeypatch.setenv("LFODETECT_JOBS", "3")
+        assert run("detect", long_archive, "--out-dir", baseline) == 3
+        monkeypatch.setenv("LFODETECT_JOBS", "abc")
         out = tmp_path / "out"
         assert run("detect", long_archive, "--out-dir", out) == 3
-        assert (out / "alarms.jsonl").read_text() == (baseline / "alarms.jsonl").read_text()
+        assert (out / "alarms.jsonl").read_bytes() == (baseline / "alarms.jsonl").read_bytes()
+
+    def test_commands_share_window_order_and_artifacts(self, long_archive, tmp_path):
+        t0s = [0, 5000, 10000, 15000, 20000, 25000, 30000, 35000]
+        for command in ("analyze", "detect", "spectrum"):
+            out = tmp_path / command
+            assert run(command, long_archive, "--out-dir", out) in (0, 3)
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            assert [w["t0_ms"] for w in manifest["windows"]] == t0s, command
+            produced = {p.name for p in out.iterdir()} - {"run_manifest.json"}
+            assert produced == set(manifest["artifacts"]), command
 
 
 class TestAnalyzeEmdFlag:
@@ -262,27 +275,28 @@ class TestBadConfig:
         assert run("detect", archive, "--out-dir", tmp_path / "o", "--config", config) == 2
 
     @pytest.mark.parametrize(
-        "flags, env, settings, message",
+        "command, flags, settings, message",
         [
-            (["--band", "2,1"], None, None, "band must satisfy"),
-            (["--stride-seconds", "30"], None, None, "stride must satisfy"),
-            ([], "abc", None, "'abc'"),
-            ([], None, {"order": "x"}, "'x'"),
-            ([], None, {"windw_seconds": 10}, "unknown key(s): windw_seconds"),
+            ("detect", ["--band", "2,1"], None, "band must satisfy"),
+            ("spectrum", ["--band", "2,1"], None, "band must satisfy"),
+            ("spectrum", ["--band", "1,1"], None, "band must satisfy"),
+            ("detect", ["--stride-seconds", "30"], None, "stride must satisfy"),
+            ("detect", [], {"jobs": 2}, "unknown key(s): jobs"),
+            ("detect", [], {"order": "x"}, "'x'"),
+            ("detect", [], {"windw_seconds": 10}, "unknown key(s): windw_seconds"),
         ],
-        ids=["inverted-band", "stride-over-window", "jobs-env-not-int", "order-not-int", "unknown-key"],
+        ids=["inverted-band", "spectrum-inverted-band", "spectrum-zero-width-band", "stride-over-window",
+             "jobs-config-key", "order-not-int", "unknown-key"],
     )
-    def test_invalid_setting_is_input_error(self, tmp_path, capsys, monkeypatch, flags, env, settings, message):
+    def test_invalid_setting_is_input_error(self, tmp_path, capsys, command, flags, settings, message):
         archive = tmp_path / "a.csv"
         run("synth", "--tone", "1,0.7", "--seconds", "25.04", "-o", archive)
         capsys.readouterr()
-        if env is not None:
-            monkeypatch.setenv("LFODETECT_JOBS", env)
         if settings is not None:
             config = tmp_path / "cfg.json"
             config.write_text(json.dumps(settings))
             flags = flags + ["--config", config]
-        assert run("detect", archive, "--out-dir", tmp_path / "o", *flags) == 2
+        assert run(command, archive, "--out-dir", tmp_path / "o", *flags) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
@@ -290,10 +304,20 @@ class TestBadConfig:
 
 
 class TestAtomicWrite:
+    """Every case runs through `_atomic_write` here and through
+    `write_archive` in the subclass below."""
+
+    @staticmethod
+    def write(path, tag: int) -> str:
+        """Write text distinguished by `tag` to `path` and return it."""
+        text = f"writer {tag}\n" * 1000
+        _atomic_write(path, [text])
+        return text
+
     def test_mode_follows_umask_and_no_temp_left(self, tmp_path):
-        _atomic_write(tmp_path / "out.txt", "new\n")
-        (tmp_path / "plain.txt").write_text("new\n")
-        assert (tmp_path / "out.txt").read_text() == "new\n"
+        text = self.write(tmp_path / "out.txt", 1)
+        (tmp_path / "plain.txt").write_text(text)
+        assert (tmp_path / "out.txt").read_text() == text
         assert (tmp_path / "out.txt").stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "plain.txt"]
 
@@ -306,22 +330,46 @@ class TestAtomicWrite:
 
         monkeypatch.setattr(os, "replace", refuse)
         with pytest.raises(OSError):
-            _atomic_write(target, "new\n")
+            self.write(target, 1)
         assert target.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_synced_before_replace(self, tmp_path, monkeypatch):
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def record_fsync(fd):
+            calls.append("fsync")
+            fsync(fd)
+
+        def record_replace(src, dst):
+            calls.append("replace")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", record_fsync)
+        monkeypatch.setattr(os, "replace", record_replace)
+        self.write(tmp_path / "out.txt", 1)
+        assert calls == ["fsync", "replace"]
 
     def test_concurrent_writers_to_one_path(self, tmp_path):
         # runs sharing an --out-dir write the same names at the same time;
         # each write must land whole and none may fail
         target = tmp_path / "alarms.jsonl"
-        texts = [f"writer {i}\n" * 1000 for i in range(4)]
 
-        def write_many(text):
+        def write_many(tag):
             for _ in range(50):
-                _atomic_write(target, text)
+                text = self.write(target, tag)
+            return text
 
         with ThreadPoolExecutor(max_workers=4) as pool:
-            for future in [pool.submit(write_many, t) for t in texts]:
-                future.result(timeout=60)
+            texts = [f.result(timeout=60) for f in [pool.submit(write_many, tag) for tag in range(4)]]
         assert target.read_text() in texts
         assert [p.name for p in tmp_path.iterdir()] == ["alarms.jsonl"]
+
+
+class TestAtomicWriteArchive(TestAtomicWrite):
+    @staticmethod
+    def write(path, tag: int) -> str:
+        window = SampleWindow("s1", Channel.Frequency_Hz, 0, 0.04, np.full(1000, float(tag)))
+        write_archive(path, [window])
+        return HEADER + "\n" + "".join(f"{40 * m},s1,Frequency_Hz,{tag}\n" for m in range(1000))
