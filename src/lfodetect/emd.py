@@ -7,9 +7,12 @@ residue (trend) is always excluded.
 
 Sifting details:
   * envelopes are natural cubic splines through the persistent maxima
-    (resp. minima) -- extremum pairs whose mutual swing is below 0.2 rms
-    cancel first -- with the two nearest knots mirrored about each window
-    end to tame boundary effects;
+    (resp. minima), with the two nearest knots mirrored about each window
+    end to tame boundary effects. Adjacent extremum pairs whose mutual
+    swing is below 0.2 rms cancel first: the smallest swing goes first,
+    the leftmost pair wins a tie, and each cancellation may join the two
+    outer neighbours into a new pair. A heap over a linked list of the
+    survivors makes this O(n log n) in the number of extrema;
   * a candidate is accepted as an IMF when the envelope-mean energy ratio
     SD = sum(m^2) / sum(d_prev^2) drops below the configured threshold and
     the extrema / zero-crossing counts balance to within one, or when the
@@ -25,6 +28,7 @@ Sifting details:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,24 +150,61 @@ def _envelope(ext_idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 def _persistent_extrema(x: np.ndarray, swing: float) -> tuple[np.ndarray, np.ndarray]:
     """Extrema surviving pair cancellation: adjacent extremum pairs whose
     mutual swing is below `swing` (wiggles smaller than the signal's own
-    scale) annihilate. Returns (indices, is_maximum) in index order."""
+    scale) annihilate. Returns (indices, is_maximum) in index order.
+
+    The smallest swing among the current neighbours cancels first and the
+    leftmost pair wins a tie. Survivors form a doubly linked list and the
+    candidate pairs a min-heap keyed (swing, left position), so each
+    cancellation costs O(log n): it joins the two outer neighbours into one
+    new pair and leaves the entries that named a removed extremum stale.
+    x must be finite.
+    """
     mx, mn = _local_extrema(x)
     idx = np.sort(np.concatenate([mx, mn]))
     is_max = np.isin(idx, mx)
-    indices = list(idx)
-    kinds = list(is_max)
-    values = [float(x[i]) for i in indices]
-    while len(values) > 1:
-        diffs = [abs(values[i + 1] - values[i]) for i in range(len(values) - 1)]
-        k = int(np.argmin(diffs))
-        if diffs[k] >= swing:
-            break
-        del values[k : k + 2], indices[k : k + 2], kinds[k : k + 2]
-    return np.asarray(indices, dtype=int), np.asarray(kinds, dtype=bool)
+    values = x[idx]
+    v = values.tolist()
+    n = len(v)
+    gaps = np.abs(np.diff(values))
+    g = gaps.tolist()
+    heap = [(g[i], i, i + 1) for i in np.flatnonzero(gaps < swing).tolist()]
+    heapq.heapify(heap)
+    prev = list(range(-1, n - 1))
+    nxt = list(range(1, n + 1))
+    alive = [True] * n
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        if not alive[i] or nxt[i] != j:
+            continue
+        alive[i] = alive[j] = False
+        a, b = prev[i], nxt[j]
+        if a >= 0:
+            nxt[a] = b
+        if b < n:
+            prev[b] = a
+        if a >= 0 and b < n:
+            gap = abs(v[b] - v[a])
+            if gap < swing:
+                heapq.heappush(heap, (gap, a, b))
+    keep = np.array(alive, dtype=bool)
+    return idx[keep], is_max[keep]
 
 
 def _scale_floor(x: np.ndarray) -> float:
     return _CROSSING_HYSTERESIS * float(np.sqrt(np.mean(x**2)))
+
+
+def _skeleton(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Persistent extrema of x at its own 0.2 rms swing floor."""
+    return _persistent_extrema(x, _scale_floor(x))
+
+
+def _balance(x: np.ndarray, idx: np.ndarray) -> int:
+    """Extrema count minus zero-crossing count of the skeleton idx of x."""
+    signs = np.sign(x[idx])
+    signs = signs[signs != 0]
+    crossings = int(np.count_nonzero(signs[:-1] != signs[1:])) if signs.size > 1 else 0
+    return int(idx.size) - crossings
 
 
 def imf_balance(samples) -> int:
@@ -177,11 +218,7 @@ def imf_balance(samples) -> int:
     extrema on the same side of zero) push the balance up.
     """
     x = np.asarray(samples, dtype=float)
-    idx, _ = _persistent_extrema(x, _scale_floor(x))
-    signs = np.sign(x[idx])
-    signs = signs[signs != 0]
-    crossings = int(np.count_nonzero(signs[:-1] != signs[1:])) if signs.size > 1 else 0
-    return int(idx.size) - crossings
+    return _balance(x, _skeleton(x)[0])
 
 
 def _sift(x: np.ndarray, cfg: AnalysisConfig) -> np.ndarray | None:
@@ -190,26 +227,27 @@ def _sift(x: np.ndarray, cfg: AnalysisConfig) -> np.ndarray | None:
     Envelope knots are the persistent extrema: a sub-scale contra-extremum
     (say, a noise dip just below a crest) would otherwise drag the opposite
     envelope across the full signal range and bleed the oscillation itself
-    into the envelope mean.
+    into the envelope mean. A candidate's skeleton, once computed for its
+    balance test, serves as the next pass's knots.
     """
     n = x.size
     d = np.array(x, dtype=float)
-    first = True
-    for _ in range(cfg.max_sift_iterations):
-        idx, is_max = _persistent_extrema(d, _scale_floor(d))
+    skeleton = None
+    for k in range(cfg.max_sift_iterations):
+        if skeleton is None:
+            skeleton = _skeleton(d)
+        idx, is_max = skeleton
         mx, mn = idx[is_max], idx[~is_max]
-        if mx.size == 0 or mn.size == 0 or mx.size + mn.size < MIN_SIFT_EXTREMA:
-            if first:
-                return None
-            break
-        first = False
+        if mx.size == 0 or mn.size == 0 or idx.size < MIN_SIFT_EXTREMA:
+            return None if k == 0 else d
         e_up = _envelope(mx, d, n)
         e_low = _envelope(mn, d, n)
         m = 0.5 * (e_up + e_low)
         denom = float(np.dot(d, d))
         sd = float(np.dot(m, m)) / denom if denom > 0.0 else 0.0
         d = d - m
-        if sd < cfg.sift_sd_threshold and abs(imf_balance(d)) <= 1:
+        skeleton = _skeleton(d) if sd < cfg.sift_sd_threshold else None
+        if skeleton is not None and abs(_balance(d, skeleton[0])) <= 1:
             break
     return d
 

@@ -2,7 +2,8 @@
 
 Archive format: UTF-8 CSV with the exact header
 ``timestamp_ms,station_id,channel,value``, one record per line, ``.`` as
-the decimal separator, LF or CRLF line endings. Windowing is
+the decimal separator, LF or CRLF line endings. A data line that is not
+valid UTF-8 is skipped and noted like any malformed line. Windowing is
 timestamp-driven: records are snapped onto the expected sample grid, so
 permuting the input order never changes the emitted windows.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,6 +26,10 @@ from .core import Channel, SampleWindow
 logger = logging.getLogger(__name__)
 
 ARCHIVE_HEADER = "timestamp_ms,station_id,channel,value"
+
+#: Undecodable bytes, as the ``surrogateescape`` error handler maps them.
+#: Valid UTF-8 never decodes to a surrogate code point.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 #: A record farther than this fraction of dt from its grid slot is treated
 #: as irregular (the slot stays missing).
@@ -96,27 +102,33 @@ class ParseReport:
 def read_archive(path, report: ParseReport | None = None) -> Iterator[ArchiveRecord]:
     """Yield records in file order.
 
-    Malformed lines are skipped and noted in `report` (with line numbers);
-    non-finite values yield records marked missing. The stream never aborts
-    on bad lines.
+    Malformed lines, including lines that are not valid UTF-8, are skipped
+    and noted in `report` (with line numbers); non-finite values yield
+    records marked missing. The stream never aborts on bad lines.
 
     Raises:
         FileUnreadable: file cannot be opened.
-        SchemaMismatch: header line is wrong.
+        SchemaMismatch: header line is wrong or not valid UTF-8.
     """
     path = Path(path)
     try:
-        handle = open(path, "r", encoding="utf-8", newline="")
+        handle = open(path, "r", encoding="utf-8", errors="surrogateescape", newline="")
     except OSError as exc:
         raise FileUnreadable(f"cannot open archive {path}: {exc}") from exc
     header = handle.readline().strip("\r\n").strip()
     if header != ARCHIVE_HEADER:
         handle.close()
+        if _UNDECODABLE.search(header):
+            raise SchemaMismatch("archive header is not valid UTF-8")
         raise SchemaMismatch(f"expected header {ARCHIVE_HEADER!r}, got {header!r}")
 
     def records() -> Iterator[ArchiveRecord]:
         with handle:
             for line_no, line in enumerate(handle, start=2):
+                if not line.isascii() and _UNDECODABLE.search(line):
+                    if report is not None:
+                        report.note(line_no, "not valid UTF-8")
+                    continue
                 line = line.strip("\r\n")
                 if not line.strip():
                     continue

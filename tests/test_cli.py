@@ -142,6 +142,16 @@ class TestDetect:
     def test_missing_archive(self, tmp_path):
         assert run("detect", tmp_path / "missing.csv", "--out-dir", tmp_path / "out") == 2
 
+    def test_invalid_utf8_line_is_a_parse_issue(self, growing_archive, tmp_path):
+        lines = growing_archive.read_bytes().split(b"\n")
+        lines[100] += b"\xff\xfe"
+        growing_archive.write_bytes(b"\n".join(lines))
+        out = tmp_path / "out"
+        assert run("detect", growing_archive, "--out-dir", out) in (0, 3)
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["parse_issues"] == ["line 101: not valid UTF-8"]
+        assert len(manifest["windows"]) == 1
+
 
 class TestSpectrum:
     def test_in_bin_tone_row(self, tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfodetect import (
     AnalysisConfig,
@@ -11,7 +13,8 @@ from lfodetect import (
     generate,
     mean_frequency,
 )
-from lfodetect.emd import imf_balance
+from lfodetect import emd
+from lfodetect.emd import _local_extrema, _persistent_extrema, imf_balance
 
 
 def _corr(a, b):
@@ -122,3 +125,105 @@ class TestBandpass:
         t = np.arange(625) * 0.04
         wide = bandpass(w, AnalysisConfig(emd_band_hz=(0.1, 10.0)))
         assert _corr(wide.samples, np.cos(2 * np.pi * 4.0 * t)) >= 0.98
+
+
+def _reference_persistent_extrema(x, swing):
+    """The quadratic cancellation loop `_persistent_extrema` replaced: scan
+    every adjacent swing and cancel the first smallest, until none is below
+    `swing`."""
+    mx, mn = _local_extrema(x)
+    idx = np.sort(np.concatenate([mx, mn]))
+    is_max = np.isin(idx, mx)
+    indices = list(idx)
+    kinds = list(is_max)
+    values = [float(x[i]) for i in indices]
+    while len(values) > 1:
+        diffs = [abs(values[i + 1] - values[i]) for i in range(len(values) - 1)]
+        k = int(np.argmin(diffs))
+        if diffs[k] >= swing:
+            break
+        del values[k : k + 2], indices[k : k + 2], kinds[k : k + 2]
+    return np.asarray(indices, dtype=int), np.asarray(kinds, dtype=bool)
+
+
+def _swings(x):
+    """No cancellation, the sift's own 0.2 rms floor, and above the signal
+    range (everything cancels)."""
+    if x.size == 0:
+        return (0.0, 1.0)
+    return (0.0, 0.2 * float(np.sqrt(np.mean(x**2))), float(np.ptp(x)) + 1.0)
+
+
+def _assert_matches_reference(x, swings=()):
+    for swing in _swings(x) + tuple(swings):
+        idx, is_max = _persistent_extrema(x, swing)
+        ref_idx, ref_is_max = _reference_persistent_extrema(x, swing)
+        assert idx.dtype == ref_idx.dtype and is_max.dtype == ref_is_max.dtype
+        assert np.array_equal(idx, ref_idx), swing
+        assert np.array_equal(is_max, ref_is_max), swing
+
+
+class TestPersistentExtrema:
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(-4, 4), max_size=300))
+    def test_matches_reference_on_integers(self, values):
+        # small integers: plateaus and tied swings everywhere, and integer
+        # floors that some pairs sit exactly on (such a pair survives)
+        _assert_matches_reference(np.asarray(values, dtype=float), (1.0, 2.0, 3.0, 5.0))
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 400), st.integers(0, 3))
+    def test_matches_reference_on_rounded_gaussian(self, seed, size, decimals):
+        x = np.round(np.random.default_rng(seed).standard_normal(size), decimals)
+        _assert_matches_reference(x)
+
+    def test_leftmost_of_tied_pairs_cancels_first(self):
+        # extrema at 1..5 with swings 1, 1, 6, 10: the tied pairs share
+        # sample 2, so cancelling (1, 2) keeps sample 3 and cancelling
+        # (2, 3) would keep sample 1
+        x = np.array([0.0, 1.0, 0.0, 1.0, -5.0, 5.0, 4.0])
+        idx, is_max = _persistent_extrema(x, 2.0)
+        assert idx.tolist() == [3, 4, 5] and is_max.tolist() == [True, False, True]
+        _assert_matches_reference(x)
+
+    def test_pair_exactly_at_the_floor_survives(self):
+        # swings 2, 1, 1: cancelling (2, 3) joins samples 1 and 4 into a
+        # pair whose swing equals the floor, so both stay
+        x = np.array([0.0, 2.0, 0.0, 1.0, 0.0, 1.0])
+        idx, is_max = _persistent_extrema(x, 2.0)
+        assert idx.tolist() == [1, 4] and is_max.tolist() == [True, False]
+        _assert_matches_reference(x, (2.0,))
+
+    def test_bandpass_bit_identical_to_reference(self, monkeypatch):
+        w = _ac1_20db_window()
+        fast = np.asarray(bandpass(w).samples)
+        monkeypatch.setattr(emd, "_persistent_extrema", _reference_persistent_extrema)
+        assert np.array_equal(fast, np.asarray(bandpass(w).samples))
+
+    def test_sift_computes_each_skeleton_once(self, monkeypatch):
+        inputs = []
+
+        def spy(x, swing):
+            inputs.append(x.tobytes())
+            return _persistent_extrema(x, swing)
+
+        monkeypatch.setattr(emd, "_persistent_extrema", spy)
+        decompose(_ac1_20db_window())
+        assert len(inputs) == len(set(inputs))
+
+
+def _ac1_20db_window():
+    """The acceptance suite's AC1 three-tone mix in 20 dB noise."""
+    return generate(
+        SynthSpec(
+            tones=(
+                ToneSpec(0.10, 0.52, phase=0.3, damping=0.05),
+                ToneSpec(0.05, 0.84, phase=-1.0, damping=-0.20),
+                ToneSpec(0.02, 1.40, phase=2.0, damping=-0.30),
+            ),
+            dt=0.04,
+            count=626,
+            noise_snr_db=20.0,
+            rng_seed=21,
+        )
+    )

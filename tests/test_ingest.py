@@ -70,6 +70,33 @@ class TestReadArchive:
         records = list(read_archive(p))
         assert records[0].value == 1.5
 
+    @pytest.mark.parametrize(
+        "bad_line",
+        [b"40,s1,Frequency_Hz,50.02\xff\xfe", b"40,s\xff1,Frequency_Hz,50.02", b"\xe2\x82"],
+        ids=["value", "station", "truncated-sequence"],
+    )
+    def test_invalid_utf8_line_skipped_and_noted(self, tmp_path, bad_line):
+        p = tmp_path / "a.csv"
+        p.write_bytes(b"\n".join([HEADER.encode(), b"0,s1,Frequency_Hz,50.01", bad_line, b"80,s1,Frequency_Hz,50.0", b""]))
+        report = ParseReport()
+        records = list(read_archive(p, report))
+        assert [(r.timestamp_ms, r.station_id, r.value) for r in records] == [(0, "s1", 50.01), (80, "s1", 50.0)]
+        assert report.issues == ["line 3: not valid UTF-8"]
+
+    def test_non_ascii_utf8_is_not_flagged(self, tmp_path):
+        p = tmp_path / "a.csv"
+        _write(p, [HEADER, "0,Zürich-\ufffd,Frequency_Hz,50.01"])
+        report = ParseReport()
+        records = list(read_archive(p, report))
+        assert records[0].station_id == "Zürich-\ufffd"
+        assert report.issues == []
+
+    def test_undecodable_header_is_schema_mismatch(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_bytes(HEADER.encode() + b"\xff\xfe\n0,s1,Frequency_Hz,1.0\n")
+        with pytest.raises(SchemaMismatch, match="not valid UTF-8"):
+            read_archive(p)
+
 
 def _clean_records(n, dt_ms=40, station="s1", start=0):
     return [
