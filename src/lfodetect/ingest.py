@@ -2,10 +2,12 @@
 
 Archive format: UTF-8 CSV with the exact header
 ``timestamp_ms,station_id,channel,value``, one record per line, ``.`` as
-the decimal separator, LF or CRLF line endings. A data line that is not
-valid UTF-8 is skipped and noted like any malformed line. Windowing is
-timestamp-driven: records are snapped onto the expected sample grid, so
-permuting the input order never changes the emitted windows.
+the decimal separator, LF or CRLF line endings. One UTF-8 byte-order mark
+before the header is dropped; a U+FEFF anywhere else is data. A data line
+that is not valid UTF-8 is skipped and noted like any malformed line.
+Windowing is timestamp-driven: records are snapped onto the expected
+sample grid, so permuting the input order never changes the emitted
+windows.
 """
 
 from __future__ import annotations
@@ -115,7 +117,8 @@ def read_archive(path, report: ParseReport | None = None) -> Iterator[ArchiveRec
         handle = open(path, "r", encoding="utf-8", errors="surrogateescape", newline="")
     except OSError as exc:
         raise FileUnreadable(f"cannot open archive {path}: {exc}") from exc
-    header = handle.readline().strip("\r\n").strip()
+    # spreadsheet tools save CSV with a byte-order mark, which str.strip keeps
+    header = handle.readline().removeprefix("\ufeff").strip("\r\n").strip()
     if header != ARCHIVE_HEADER:
         handle.close()
         if _UNDECODABLE.search(header):

@@ -2,15 +2,19 @@
 
 Four chained steps:
   1. fit a linear prediction model of order N to the samples
-     (least squares over the Hankel-structured prediction equations);
+     (least squares over the Hankel-structured prediction equations, by
+     QR with column pivoting and numpy's default rank threshold);
   2. root the characteristic polynomial as the eigenvalues of its
      companion matrix (LAPACK via np.roots; a deviation from the
      Aberth-Ehrlich iteration of the original method, chosen because it
      is backward stable and returns exact conjugate pairs);
   3. map each root z to (damping, frequency) via log(z)/dt, collapsing
      conjugate pairs to a single nonnegative-frequency entry;
-  4. solve the complex Vandermonde system for per-root weights by least
-     squares and convert them to amplitudes and phases.
+  4. solve the Vandermonde system for per-root weights by least squares
+     in a real basis (z^k per real root, sqrt(2)*Re z^k and sqrt(2)*Im z^k
+     per conjugate pair: the complex Vandermonde matrix times a unitary
+     matrix, so the singular values and the minimum-norm solution are the
+     same) and convert them to amplitudes and phases.
 
 prony_analyze drives the chain, prunes numerical artifacts, and grades
 itself by reconstructing the window from the surviving modes.
@@ -22,6 +26,8 @@ import logging
 import math
 
 import numpy as np
+import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     TWO_PI,
@@ -44,6 +50,8 @@ MAX_DAMPING_DURATION = 20.0
 ILL_CONDITION_LIMIT = 1e12
 
 _RESIDUAL_FACTOR = 1e-8
+
+_SQRT2 = math.sqrt(2.0)
 
 
 class OrderTooHigh(ValueError):
@@ -73,9 +81,17 @@ def fit_lpm(w: SampleWindow, order: int) -> np.ndarray:
     count = y.size
     if count < 3 * order:
         raise OrderTooHigh(f"{count} samples cannot support order {order} (need >= {3 * order})")
-    design = np.column_stack([y[order - i : count - i] for i in range(1, order + 1)])
+    # row m holds y[m+N-1], ..., y[m]: the N samples that predict y[m+N]
+    design = sliding_window_view(y[:-1], order)[:, ::-1]
     target = y[order:]
-    coeffs, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+    # pivoted QR; cond is the rank threshold numpy's lstsq uses with rcond=None
+    coeffs, _, rank, _ = scipy.linalg.lstsq(
+        design,
+        target,
+        cond=np.finfo(float).eps * max(design.shape),
+        lapack_driver="gelsy",
+        check_finite=False,
+    )
     if rank == 0:
         raise InsufficientExcitation("prediction system has rank zero (signal carries no energy)")
     return coeffs
@@ -155,6 +171,13 @@ def solve_amplitudes(w: SampleWindow, roots) -> list[tuple[float, float]]:
     """(amplitude, phase) per root group from the least-squares solution of
     the Vandermonde system built on the given roots.
 
+    The system is solved in a real basis: z^k for each real root, and
+    sqrt(2)*Re z^k, sqrt(2)*Im z^k for each conjugate pair. That matrix is
+    the complex Vandermonde matrix times a unitary matrix, so it has the
+    same singular values and, for real samples, the same minimum-norm
+    solution; a pair's weight on z^k is B = (p - iq)/sqrt(2) for basis
+    weights p, q.
+
     The root list must be conjugate-closed and free of zero roots
     (ValueError otherwise). Conjugate pairs yield amplitude 2|B| and phase
     arg(B); real roots yield |B| with phase 0 or pi. Entries align
@@ -168,21 +191,20 @@ def solve_amplitudes(w: SampleWindow, roots) -> list[tuple[float, float]]:
         raise ValueError("zero roots have no mode; drop them before solving amplitudes")
     if not reps.size:
         return []
-    pairs = reps.imag > 0
-    columns = np.concatenate((reps, np.conj(reps[pairs])))
-    vander = np.vander(columns, w.count, increasing=True).T
-    weights, _, _, singular = np.linalg.lstsq(vander, w.samples.astype(complex), rcond=None)
+    n_real = int(np.count_nonzero(reps.imag == 0))
+    powers = np.vander(reps, w.count, increasing=True).T
+    pair_powers = _SQRT2 * powers[:, n_real:]
+    basis = np.concatenate((powers[:, :n_real].real, pair_powers.real, pair_powers.imag), axis=1)
+    weights, _, _, singular = np.linalg.lstsq(basis, w.samples, rcond=None)
     condition = float(singular[0] / singular[-1]) if singular[-1] > 0 else math.inf
     if condition > ILL_CONDITION_LIMIT:
         logger.warning(
             "Vandermonde system ill-conditioned (cond ~ %.2e); amplitudes may be unreliable",
             condition,
         )
-    b = weights[: reps.size]
-    b[pairs] = 0.5 * (b[pairs] + np.conj(weights[reps.size :]))
-    return [
-        (2.0 * abs(x), wrap_angle(float(np.angle(x)))) if pair else (abs(x), 0.0 if x.real >= 0 else math.pi)
-        for x, pair in zip(b.tolist(), pairs.tolist())
+    real, p, q = np.split(weights, [n_real, reps.size])
+    return [(abs(x), 0.0 if x >= 0 else math.pi) for x in real.tolist()] + [
+        (_SQRT2 * math.hypot(a, b), wrap_angle(math.atan2(-b, a))) for a, b in zip(p.tolist(), q.tolist())
     ]
 
 

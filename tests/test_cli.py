@@ -152,6 +152,14 @@ class TestDetect:
         assert manifest["parse_issues"] == ["line 101: not valid UTF-8"]
         assert len(manifest["windows"]) == 1
 
+    def test_byte_order_mark_archive_gives_same_alarms(self, growing_archive, tmp_path):
+        bom_archive = tmp_path / "bom.csv"
+        bom_archive.write_bytes(b"\xef\xbb\xbf" + growing_archive.read_bytes())
+        plain, bom = tmp_path / "plain", tmp_path / "bom"
+        assert run("detect", growing_archive, "--out-dir", plain) == 3
+        assert run("detect", bom_archive, "--out-dir", bom) == 3
+        assert (bom / "alarms.jsonl").read_bytes() == (plain / "alarms.jsonl").read_bytes()
+
 
 class TestSpectrum:
     def test_in_bin_tone_row(self, tmp_path):

@@ -97,6 +97,37 @@ class TestReadArchive:
         with pytest.raises(SchemaMismatch, match="not valid UTF-8"):
             read_archive(p)
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_leading_byte_order_mark_dropped(self, tmp_path, newline):
+        p = tmp_path / "a.csv"
+        lines = [HEADER.encode(), b"0,s1,Frequency_Hz,1.5", b"40,s1,Frequency_Hz,2.5", b""]
+        p.write_bytes(b"\xef\xbb\xbf" + newline.join(lines))
+        report = ParseReport()
+        records = list(read_archive(p, report))
+        assert records == [
+            ArchiveRecord(0, "s1", Channel.Frequency_Hz, 1.5),
+            ArchiveRecord(40, "s1", Channel.Frequency_Hz, 2.5),
+        ]
+        assert report.issues == []
+
+    def test_byte_order_mark_before_wrong_header(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_bytes(b"\xef\xbb\xbftime,station,chan,val\n0,s1,Frequency_Hz,1.0\n")
+        with pytest.raises(SchemaMismatch):
+            read_archive(p)
+
+    def test_only_one_byte_order_mark_dropped(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_bytes(b"\xef\xbb\xbf" * 2 + HEADER.encode() + b"\n0,s1,Frequency_Hz,1.0\n")
+        with pytest.raises(SchemaMismatch):
+            read_archive(p)
+
+    def test_byte_order_mark_inside_data_is_data(self, tmp_path):
+        p = tmp_path / "a.csv"
+        _write(p, [HEADER, "0,\ufeffs1,Frequency_Hz,1.0"])
+        (record,) = read_archive(p)
+        assert record.station_id == "\ufeffs1"
+
 
 def _clean_records(n, dt_ms=40, station="s1", start=0):
     return [

@@ -1,17 +1,21 @@
 import cmath
+import logging
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import lfodetect.prony as prony_mod
 from lfodetect import (
     AnalysisConfig,
+    Channel,
     InsufficientExcitation,
     OrderTooHigh,
     PronyFit,
     PronyMode,
+    SampleWindow,
     SynthSpec,
     ToneSpec,
     characteristic_roots,
@@ -23,6 +27,78 @@ from lfodetect import (
     solve_amplitudes,
     wrap_angle,
 )
+from lfodetect.prony import _group_roots
+
+
+def _window(samples):
+    return SampleWindow("test", Channel.Frequency_Hz, 0, 0.04, np.asarray(samples, dtype=float))
+
+
+def _reference_fit_lpm(w, order):
+    """The LPM fit as an SVD least-squares solve of the column-stacked
+    prediction equations: the plain form fit_lpm must agree with."""
+    y = np.asarray(w.samples)
+    count = y.size
+    design = np.column_stack([y[order - i : count - i] for i in range(1, order + 1)])
+    coeffs, _, rank, _ = np.linalg.lstsq(design, y[order:], rcond=None)
+    return coeffs, rank
+
+
+def _reference_solve_amplitudes(w, roots):
+    """Amplitudes and phases from the complex Vandermonde system on every
+    root, conjugates included, by SVD least squares; also returns the
+    condition number (largest over smallest singular value)."""
+    reps = _group_roots(roots)
+    pairs = reps.imag > 0
+    columns = np.concatenate((reps, np.conj(reps[pairs])))
+    vander = np.vander(columns, w.count, increasing=True).T
+    weights, _, _, singular = np.linalg.lstsq(vander, np.asarray(w.samples, dtype=complex), rcond=None)
+    condition = float(singular[0] / singular[-1]) if singular[-1] > 0 else math.inf
+    b = weights[: reps.size]
+    b[pairs] = 0.5 * (b[pairs] + np.conj(weights[reps.size :]))
+    out = [
+        (2.0 * abs(x), wrap_angle(float(np.angle(x)))) if pair else (abs(x), 0.0 if x.real >= 0 else math.pi)
+        for x, pair in zip(b.tolist(), pairs.tolist())
+    ]
+    return out, condition
+
+
+@st.composite
+def _noisy_tones(draw):
+    """Samples of one to three damped tones in white noise at 10-40 dB."""
+    k = draw(st.integers(1, 3))
+    tones = tuple(
+        ToneSpec(
+            draw(st.floats(0.05, 1.0)),
+            draw(st.floats(0.1, 5.0)),
+            phase=draw(st.floats(-3.0, 3.0)),
+            damping=draw(st.floats(-0.3, 0.1)),
+        )
+        for _ in range(k)
+    )
+    spec = SynthSpec(
+        tones=tones,
+        dt=0.04,
+        count=draw(st.integers(200, 626)),
+        noise_snr_db=draw(st.floats(10.0, 40.0)),
+        rng_seed=draw(st.integers(0, 2**31 - 1)),
+    )
+    return np.asarray(generate(spec).samples)
+
+
+@st.composite
+def _conjugate_closed_roots(draw, repeats=True):
+    """A conjugate-closed root list of positive and negative real roots and
+    complex pairs, none of them zero; with `repeats`, one root group may
+    appear twice."""
+    moduli = st.floats(0.9, 1.02)
+    groups = [[m if positive else -m] for m, positive in draw(st.lists(st.tuples(moduli, st.booleans()), max_size=3))]
+    for _ in range(draw(st.integers(0 if groups else 1, 4))):
+        z = cmath.rect(draw(moduli), draw(st.floats(0.05, 3.0)))
+        groups.append([z, z.conjugate()])
+    if repeats and draw(st.booleans()):
+        groups.append(draw(st.sampled_from(groups)))
+    return [complex(r) for group in groups for r in group]
 
 
 class TestFitLpm:
@@ -45,6 +121,40 @@ class TestFitLpm:
     def test_order_too_high(self, make_window):
         with pytest.raises(OrderTooHigh):
             fit_lpm(make_window(np.ones(10)), 4)
+
+
+class TestFitLpmReference:
+    @settings(max_examples=60)
+    @given(_noisy_tones(), st.integers(2, 60))
+    def test_agrees_on_noisy_windows(self, samples, order):
+        w = _window(samples)
+        order = min(order, samples.size // 3)
+        expected, _ = _reference_fit_lpm(w, order)
+        coeffs = fit_lpm(w, order)
+        assert np.linalg.norm(coeffs - expected) <= 1e-9 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize(
+        "samples, order, rank",
+        [
+            (np.cos(2 * np.pi * 0.7 * np.arange(120) * 0.04), 10, 2),
+            (np.full(60, 3.0), 5, 1),
+            (np.cos(0.9 * np.arange(90)) + 0.5 * 0.95 ** np.arange(90), 12, 3),
+        ],
+        ids=["cosine", "constant", "cosine-plus-decay"],
+    )
+    def test_rank_deficient_designs_agree(self, samples, order, rank):
+        w = _window(samples)
+        expected, expected_rank = _reference_fit_lpm(w, order)
+        assert expected_rank == rank
+        assert np.max(np.abs(fit_lpm(w, order) - expected)) <= 1e-12
+
+    @settings(max_examples=40)
+    @given(st.floats(0.05, 5.0), st.floats(-3.0, 3.0), st.integers(3, 20))
+    def test_rank_deficient_cosine_agrees(self, frequency, phase, order):
+        w = _window(np.cos(2 * np.pi * frequency * np.arange(200) * 0.04 + phase))
+        expected, expected_rank = _reference_fit_lpm(w, order)
+        assert expected_rank < order
+        assert np.max(np.abs(fit_lpm(w, order) - expected)) <= 1e-12
 
 
 class TestCharacteristicRoots:
@@ -148,6 +258,36 @@ class TestSolveAmplitudes:
         # a complex root without its conjugate is rejected the same way
         with pytest.raises(ValueError):
             solve_amplitudes(make_window(np.ones(20)), [cmath.exp(0.3j)])
+
+
+class TestSolveAmplitudesReference:
+    @settings(max_examples=80)
+    @given(_conjugate_closed_roots(), st.integers(0, 2**31 - 1))
+    def test_agrees_with_complex_vandermonde(self, roots, seed):
+        w = _window(np.random.default_rng(seed).standard_normal(150))
+        expected, _ = _reference_solve_amplitudes(w, roots)
+        got = solve_amplitudes(w, roots)
+        assert len(got) == len(expected)
+        scale = max(a for a, _ in expected)
+        for (a, phase), (a_ref, phase_ref) in zip(got, expected):
+            assert abs(cmath.rect(a, phase) - cmath.rect(a_ref, phase_ref)) <= 1e-9 * scale
+
+    # the fixtures hold no per-example state: the patch sets the same value
+    # every time and the captured records are cleared before each solve
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_conjugate_closed_roots(repeats=False), st.integers(0, 2**31 - 1))
+    def test_logged_condition_matches_reference(self, monkeypatch, caplog, roots, seed):
+        w = _window(np.random.default_rng(seed).standard_normal(150))
+        _, condition = _reference_solve_amplitudes(w, roots)
+        # the smallest singular value is only known to about eps * condition
+        # relative; keep that far below the third printed digit
+        assume(condition < 1e10)
+        monkeypatch.setattr(prony_mod, "ILL_CONDITION_LIMIT", 0.0)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="lfodetect.prony"):
+            solve_amplitudes(w, roots)
+        (record,) = caplog.records
+        assert f"cond ~ {condition:.2e})" in record.getMessage()
 
 
 class TestPronyAnalyze:
@@ -259,6 +399,27 @@ class TestPronyAnalyze:
             assert m2.damping == pytest.approx(m.damping, abs=1e-9)
             assert m2.frequency == pytest.approx(m.frequency, abs=1e-9)
             assert wrap_angle(m2.phase - m.phase) == pytest.approx(0.0, abs=1e-9)
+
+    @settings(max_examples=10)
+    @given(st.integers(1, 150))
+    def test_time_shift_equivariance(self, shift):
+        # dropping the first `shift` samples moves t = 0 forward by shift*dt:
+        # each phase advances by 2*pi*f*shift*dt and each amplitude picks up
+        # the growth factor exp(damping*shift*dt)
+        tones = (ToneSpec(1.0, 0.6, phase=0.4, damping=-0.1), ToneSpec(0.5, 1.7, phase=-2.0, damping=0.02))
+        w = generate(SynthSpec(tones=tones, dt=0.04, count=400))
+        shifted = w.replace_samples(np.asarray(w.samples)[shift:])
+        cfg = AnalysisConfig(prony_order=4)
+        fit, fit_shifted = prony_analyze(w, cfg), prony_analyze(shifted, cfg)
+        assert len(fit.modes) == len(fit_shifted.modes) == 2
+        tau = shift * w.dt
+        for m in fit.modes:
+            m2 = min(fit_shifted.modes, key=lambda x: abs(x.frequency - m.frequency))
+            assert m2.frequency == pytest.approx(m.frequency, abs=1e-8)
+            assert m2.damping == pytest.approx(m.damping, abs=1e-8)
+            assert m2.amplitude == pytest.approx(m.amplitude * math.exp(m.damping * tau), rel=1e-8)
+            advanced = wrap_angle(m.phase + 2 * math.pi * m.frequency * tau)
+            assert wrap_angle(m2.phase - advanced) == pytest.approx(0.0, abs=1e-8)
 
     def test_fit_quality_clamped(self, make_window):
         rng = np.random.default_rng(0)
