@@ -241,6 +241,26 @@ def _resolve_settings(args, analysis: bool = True):
         raise InvalidSetting(f"invalid setting: {exc}") from exc
 
 
+def _check_half_window_order(policy: WindowingPolicy, cfg: AnalysisConfig) -> None:
+    """`detect` refits each half of a window to test mode stability; an
+    order a half window cannot support would make every refit fail and
+    silently skip that gate.
+
+    Raises:
+        InvalidSetting: the order exceeds the half-window limit.
+    """
+    half = policy.window_samples // 2
+    if cfg.prony_order is None or half < detector.MIN_STABILITY_HALF:
+        return
+    limit = half // 3
+    if cfg.prony_order > limit:
+        raise InvalidSetting(
+            f"invalid setting: order {cfg.prony_order} exceeds {limit}, the most a half window "
+            f"of {half} samples supports (detect refits both halves of each "
+            f"{policy.window_samples}-sample window)"
+        )
+
+
 def _window_prefix(w) -> str:
     return f"{w.station_id}_{w.channel.value}_{w.t0_ms}"
 
@@ -349,17 +369,20 @@ def cmd_analyze(args) -> int:
     policy, cfg = _resolve_settings(args)
 
     def analyse(w, prefix):
-        try:
-            target = emd.bandpass(w, cfg) if args.emd else w
-        except EmptyBand:
-            return "empty-band", []
+        imf_set = emd.decompose(w, cfg) if args.emd or args.dump_imfs else None
+        target = w
+        if args.emd:
+            try:
+                target = emd.select_band(w, imf_set, cfg)[1]
+            except EmptyBand:
+                return "empty-band", []
         fit = prony.prony_analyze(target, cfg)
         modes = sorted(fit.modes, key=lambda m: (-m.amplitude, m.frequency))
         artifacts = [f"{prefix}_modes.csv"]
         _write_mode_table(args.out_dir / artifacts[0], modes, fit.fit_quality)
         if args.dump_imfs:
             artifacts.append(f"{prefix}_imfs.csv")
-            _write_imf_dump(args.out_dir / artifacts[1], w, emd.decompose(w, cfg))
+            _write_imf_dump(args.out_dir / artifacts[1], w, imf_set)
         print(f"{prefix}: fit_quality={fit.fit_quality:.3g}")
         for m in modes:
             print(f"  amplitude={m.amplitude:.3g} damping={m.damping:.3g} frequency={m.frequency:.3g} Hz")
@@ -371,6 +394,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_detect(args) -> int:
     policy, cfg = _resolve_settings(args)
+    _check_half_window_order(policy, cfg)
     alarms = []
 
     def analyse(w, prefix):

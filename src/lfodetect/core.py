@@ -2,7 +2,7 @@
 
 Everything here is an immutable value object: windows, estimated modes,
 spectral peaks, alarms, and the tuning configuration shared by the whole
-analysis pipeline. Instances are safe to share between concurrent workers.
+analysis pipeline.
 """
 
 from __future__ import annotations

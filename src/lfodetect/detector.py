@@ -111,6 +111,10 @@ def _severity(damping: float, classes: frozenset[ModeClass], cfg: AnalysisConfig
     return Severity.Info
 
 
+#: Windows whose halves hold fewer samples skip the stability gate.
+MIN_STABILITY_HALF = 12
+
+
 def _stable_modes(bp: SampleWindow, modes, cfg: AnalysisConfig):
     """Modes whose frequency persists in independent fits of both window
     halves. Any half-fit failure keeps the list unfiltered (degenerate
@@ -118,7 +122,7 @@ def _stable_modes(bp: SampleWindow, modes, cfg: AnalysisConfig):
     if not modes:
         return modes
     half = bp.count // 2
-    if half < 12:
+    if half < MIN_STABILITY_HALF:
         return modes
     try:
         first = prony.prony_analyze(bp.replace_samples(bp.samples[:half]), cfg)
@@ -177,11 +181,11 @@ def detect(w: SampleWindow, cfg: AnalysisConfig | None = None) -> DetectionRepor
     except EmptyBand:
         peaks = []
 
-    candidates = fit.modes
+    # the fit-quality gate first: it can empty the candidates without the
+    # two half-window refits the stability gate costs
+    candidates = fit.modes if fit.fit_quality >= cfg.min_fit_quality else ()
     if cfg.require_stable_modes:
         candidates = _stable_modes(bp, candidates, cfg)
-    if fit.fit_quality < cfg.min_fit_quality:
-        candidates = ()
 
     tol = cfg.resolve_match_tolerance(w.duration)
     pairs = match_modes(candidates, peaks, tol)

@@ -8,7 +8,10 @@ residue (trend) is always excluded.
 Sifting details:
   * envelopes are natural cubic splines through the persistent maxima
     (resp. minima), with the two nearest knots mirrored about each window
-    end to tame boundary effects. Adjacent extremum pairs whose mutual
+    end to tame boundary effects. Each spline is one tridiagonal LAPACK
+    solve (`gtsv`) for the knot second derivatives, then the closed-form
+    cubic of each sample's segment; a singular system raises instead of
+    returning garbage. Adjacent extremum pairs whose mutual
     swing is below 0.2 rms cancel first: the smallest swing goes first,
     the leftmost pair wins a tie, and each cancellation may join the two
     outer neighbours into a new pair. A heap over a linked list of the
@@ -32,7 +35,7 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import get_lapack_funcs
 
 from .core import AnalysisConfig, EmptyBand, SampleWindow, validate_window
 
@@ -46,6 +49,8 @@ MIN_SIFT_EXTREMA = 3
 #: An extracted component this small relative to the input is floating-point
 #: dust left over from envelope subtraction, not a real oscillation.
 _DUST_FRACTION = 1e-12
+
+_gtsv = get_lapack_funcs("gtsv", dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,17 +86,23 @@ class ImfSet:
         object.__setattr__(self, "residue", arr)
 
 
-def _local_extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Interior local maxima and minima indices; plateaus count once, at
-    their midpoint."""
+def _extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Interior local extrema in index order and whether each is a maximum;
+    plateaus count once, at their midpoint."""
     dx = np.diff(x)
     nz = np.flatnonzero(dx)
     if nz.size < 2:
-        return np.empty(0, dtype=int), np.empty(0, dtype=int)
+        return np.empty(0, dtype=int), np.empty(0, dtype=bool)
     s = np.sign(dx[nz])
     flips = np.flatnonzero(s[:-1] != s[1:])
-    idx = (nz[flips] + 1 + nz[flips + 1]) // 2
-    return idx[s[flips] > 0], idx[s[flips] < 0]
+    return (nz[flips] + 1 + nz[flips + 1]) // 2, s[flips] > 0
+
+
+def _local_extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Interior local maxima and minima indices; plateaus count once, at
+    their midpoint."""
+    idx, is_max = _extrema(x)
+    return idx[is_max], idx[~is_max]
 
 
 def _count_zero_crossings(x: np.ndarray, hysteresis: float = 0.0) -> int:
@@ -132,6 +143,41 @@ def mean_frequency(samples, dt: float) -> float:
     return _count_zero_crossings(x, band) / (2.0 * duration)
 
 
+def _natural_spline(t: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Natural cubic spline through the knots (t, v), evaluated on
+    arange(n). t must be strictly increasing, hold at least 3 knots and
+    cover [0, n - 1].
+
+    The knot second derivatives M solve one tridiagonal system: the usual
+    continuity rows inside, M = 0 as identity rows at both ends (decoupled
+    from their neighbours, so the solve matches the interior system alone).
+    Each sample then takes the closed-form cubic of its segment.
+
+    Raises:
+        numpy.linalg.LinAlgError: the system is singular (t not increasing).
+    """
+    h = t[1:] - t[:-1]
+    slope = (v[1:] - v[:-1]) / h
+    diag = np.ones(t.size)
+    diag[1:-1] = 2.0 * (h[:-1] + h[1:])
+    off = np.zeros(t.size - 1)
+    off[1:-1] = h[1:-1]
+    rhs = np.zeros((t.size, 1))
+    rhs[1:-1, 0] = 6.0 * (slope[1:] - slope[:-1])
+    _, _, _, m, info = _gtsv(off, diag, off, rhs, overwrite_d=True, overwrite_b=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular spline system (gtsv info {info})")
+    m = m[:, 0]
+    # segment j: S(x) = v_j + a * (b_j + a * (c_j + a * d_j)) with a = x - t_j
+    b = slope - h * (2.0 * m[:-1] + m[1:]) / 6.0
+    c = 0.5 * m[:-1]
+    d = (m[1:] - m[:-1]) / (6.0 * h)
+    x = np.arange(n, dtype=float)
+    j = np.searchsorted(t, x, side="right") - 1
+    a = x - t[j]
+    return v[j] + a * (b[j] + a * (c[j] + a * d[j]))
+
+
 def _envelope(ext_idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     """Natural cubic spline through the extrema, with up to two extrema
     mirrored about each end of the index axis."""
@@ -144,7 +190,7 @@ def _envelope(ext_idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     right_v = ve[-k:][::-1]
     t = np.concatenate([left_t, te, right_t])
     v = np.concatenate([left_v, ve, right_v])
-    return CubicSpline(t, v, bc_type="natural")(np.arange(n, dtype=float))
+    return _natural_spline(t, v, n)
 
 
 def _persistent_extrema(x: np.ndarray, swing: float) -> tuple[np.ndarray, np.ndarray]:
@@ -159,9 +205,7 @@ def _persistent_extrema(x: np.ndarray, swing: float) -> tuple[np.ndarray, np.nda
     new pair and leaves the entries that named a removed extremum stale.
     x must be finite.
     """
-    mx, mn = _local_extrema(x)
-    idx = np.sort(np.concatenate([mx, mn]))
-    is_max = np.isin(idx, mx)
+    idx, is_max = _extrema(x)
     values = x[idx]
     v = values.tolist()
     n = len(v)
@@ -264,8 +308,7 @@ def decompose(w: SampleWindow, cfg: AnalysisConfig | None = None) -> ImfSet:
     dust = _DUST_FRACTION * float(np.max(np.abs(residue))) if residue.size else 0.0
     imfs: list[Imf] = []
     while len(imfs) < MAX_IMFS:
-        mx, mn = _local_extrema(residue)
-        if mx.size + mn.size < MIN_SIFT_EXTREMA:
+        if _extrema(residue)[0].size < MIN_SIFT_EXTREMA:
             break
         d = _sift(residue, cfg)
         if d is None or float(np.max(np.abs(d))) <= dust:
@@ -275,9 +318,11 @@ def decompose(w: SampleWindow, cfg: AnalysisConfig | None = None) -> ImfSet:
     return ImfSet(tuple(imfs), residue)
 
 
-def bandpass(w: SampleWindow, cfg: AnalysisConfig | None = None) -> SampleWindow:
-    """Sum of the IMFs whose mean frequency lies inside cfg.emd_band_hz
-    (inclusive bounds). The residue is always excluded.
+def select_band(w: SampleWindow, imf_set: ImfSet, cfg: AnalysisConfig | None = None
+                ) -> tuple[tuple[int, ...], SampleWindow]:
+    """The IMFs of `imf_set` (the decomposition of w) whose mean frequency
+    lies inside cfg.emd_band_hz (inclusive bounds), as their indices and
+    as the window holding their sum. The residue is always excluded.
 
     IMFs below cfg.min_mode_amplitude_fraction of the input peak are
     ignored: sifting leaks percent-level fragments across scales, and
@@ -287,17 +332,25 @@ def bandpass(w: SampleWindow, cfg: AnalysisConfig | None = None) -> SampleWindow
         EmptyBand: no material IMF falls in the band, i.e. nothing to analyze.
     """
     cfg = cfg or AnalysisConfig()
-    imf_set = decompose(w, cfg)
     lo, hi = cfg.emd_band_hz
     floor = cfg.min_mode_amplitude_fraction * float(np.max(np.abs(w.samples)))
-    keep = [
-        imf.samples
-        for imf in imf_set.imfs
+    keep = tuple(
+        i
+        for i, imf in enumerate(imf_set.imfs)
         if lo <= imf.mean_frequency_hz <= hi and float(np.max(np.abs(imf.samples))) >= floor
-    ]
+    )
     if not keep:
         raise EmptyBand(f"no material IMF with mean frequency in [{lo}, {hi}] Hz")
-    total = keep[0].copy()
-    for part in keep[1:]:
-        total += part
-    return w.replace_samples(total)
+    total = imf_set.imfs[keep[0]].samples.copy()
+    for i in keep[1:]:
+        total += imf_set.imfs[i].samples
+    return keep, w.replace_samples(total)
+
+
+def bandpass(w: SampleWindow, cfg: AnalysisConfig | None = None) -> SampleWindow:
+    """Sum of the in-band IMFs of w: `decompose`, then `select_band`.
+
+    Raises:
+        EmptyBand: no material IMF falls in the band, i.e. nothing to analyze.
+    """
+    return select_band(w, decompose(w, cfg), cfg)[1]

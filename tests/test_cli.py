@@ -275,6 +275,64 @@ class TestAnalyzeEmdFlag:
         assert manifest["windows"][0]["outcome"] == "empty-band"
         assert list(out.glob("*_modes.csv")) == []
 
+    def test_emd_with_imf_dump_sifts_each_window_once(self, tmp_path, monkeypatch):
+        import lfodetect as lf
+        from lfodetect import emd
+
+        windows = [
+            lf.generate(lf.SynthSpec(tones=(lf.ToneSpec(0.1, 0.52, damping=0.05),), dt=0.04, count=626,
+                                     noise_snr_db=30, rng_seed=seed), station_id=f"s{seed}")
+            for seed in range(3)
+        ]
+        archive = tmp_path / "three.csv"
+        lf.write_archive(archive, windows)
+        calls = []
+        real = emd.decompose
+
+        def spy(w, cfg=None):
+            calls.append(w.station_id)
+            return real(w, cfg)
+
+        monkeypatch.setattr(emd, "decompose", spy)
+        out = tmp_path / "out"
+        assert run("analyze", archive, "--out-dir", out, "--emd", "--dump-imfs") == 0
+        assert calls == ["s0", "s1", "s2"]
+        assert len(list(out.glob("*_modes.csv"))) == len(list(out.glob("*_imfs.csv"))) == 3
+        # the dump holds the very decomposition the band-pass summed
+        for w in windows:
+            dump = np.loadtxt(out / f"{w.station_id}_Frequency_Hz_0_imfs.csv", delimiter=",", skiprows=1)
+            imf_set = real(w)
+            assert dump.shape == (626, len(imf_set.imfs) + 2)
+            for k, imf in enumerate(imf_set.imfs):
+                assert np.array_equal(dump[:, k + 1], imf.samples)
+
+
+class TestHalfWindowOrder:
+    """`detect` refits each window half; an order a half window cannot
+    support (626-sample windows: halves of 313, at most order 104) is an
+    input error, not a silently skipped stability gate."""
+
+    def test_detect_rejects_order_above_half_window_limit(self, growing_archive, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("detect", growing_archive, "--out-dir", out, "--order", "105") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "order 105" in err[0] and "104" in err[0] and "313" in err[0]
+        assert not out.exists()
+
+    def test_config_file_order_is_checked_too(self, growing_archive, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"order": 208}))
+        assert run("detect", growing_archive, "--out-dir", tmp_path / "o", "--config", config) == 2
+        assert "order 208" in capsys.readouterr().err
+
+    def test_limit_order_still_detects(self, growing_archive, tmp_path):
+        assert run("detect", growing_archive, "--out-dir", tmp_path / "o", "--order", "104") == 3
+
+    def test_analyze_keeps_full_window_limit(self, growing_archive, tmp_path):
+        assert run("analyze", growing_archive, "--out-dir", tmp_path / "o", "--order", "105") == 0
+        assert run("analyze", growing_archive, "--out-dir", tmp_path / "o", "--order", "208") == 0
+
 
 class TestBadConfig:
     def test_malformed_json_config(self, tmp_path, capsys):

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from lfodetect import (
     AnalysisConfig,
@@ -14,7 +20,7 @@ from lfodetect import (
     mean_frequency,
 )
 from lfodetect import emd
-from lfodetect.emd import _local_extrema, _persistent_extrema, imf_balance
+from lfodetect.emd import _envelope, _local_extrema, _natural_spline, _persistent_extrema, imf_balance
 
 
 def _corr(a, b):
@@ -125,6 +131,93 @@ class TestBandpass:
         t = np.arange(625) * 0.04
         wide = bandpass(w, AnalysisConfig(emd_band_hz=(0.1, 10.0)))
         assert _corr(wide.samples, np.cos(2 * np.pi * 4.0 * t)) >= 0.98
+
+
+class TestSelectBand:
+    def test_bandpass_is_decompose_then_select(self):
+        w = _ac1_20db_window()
+        imf_set = decompose(w)
+        keep, out = emd.select_band(w, imf_set)
+        lo, hi = AnalysisConfig().emd_band_hz
+        assert keep and all(lo <= imf_set.imfs[i].mean_frequency_hz <= hi for i in keep)
+        assert np.array_equal(out.samples, sum(imf_set.imfs[i].samples for i in keep))
+        assert np.array_equal(out.samples, bandpass(w).samples)
+
+    def test_empty_band_raises(self, make_window):
+        t = np.arange(400) * 0.04
+        w = make_window((t - 8.0) ** 2)
+        with pytest.raises(EmptyBand):
+            emd.select_band(w, decompose(w))
+
+    def test_not_exported(self):
+        import lfodetect
+
+        assert "select_band" not in lfodetect.__all__
+
+
+def _reference_envelope(ext_idx, values, n):
+    """The `CubicSpline` envelope `_envelope` replaced, knot rule included."""
+    te = ext_idx.astype(float)
+    ve = values[ext_idx]
+    k = min(2, te.size)
+    t = np.concatenate([-te[:k][::-1], te, (2.0 * (n - 1) - te[-k:])[::-1]])
+    v = np.concatenate([ve[:k][::-1], ve, ve[-k:][::-1]])
+    return CubicSpline(t, v, bc_type="natural")(np.arange(n, dtype=float)), v
+
+
+@st.composite
+def _knot_sets(draw):
+    """Envelope inputs: a window length, interior extremum indices (some
+    clustered on adjacent samples, some at 1 and n - 2) and sample values."""
+    n = draw(st.integers(4, 700))
+    interior = st.integers(1, n - 2)
+    idx = set(draw(st.lists(interior, min_size=1, max_size=min(80, n - 2))))
+    if draw(st.booleans()):
+        start = draw(interior)
+        idx.update(range(start, min(start + draw(st.integers(2, 6)), n - 1)))
+    if draw(st.booleans()):
+        idx.update((1, n - 2))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    values = scale * np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
+    return np.array(sorted(idx)), values, n
+
+
+class TestEnvelopeSpline:
+    """`_envelope` solves the natural spline itself; `CubicSpline` is the
+    reference. Both round differently, so they agree to 1e-12 of the knot
+    value range, not bit for bit."""
+
+    @settings(max_examples=300)
+    @given(_knot_sets())
+    @example((np.array([5]), np.linspace(-1.0, 2.0, 12), 12))  # one extremum: 3 knots
+    @example((np.array([3, 7]), np.cos(np.arange(12.0)), 12))  # two extrema
+    @example((np.array([1, 2, 3, 4]), np.sin(np.arange(9.0)), 9))  # clustered, at 1 and n - 2
+    @example((np.array([1, 2, 3, 624]), np.sin(0.1 * np.arange(626.0)), 626))
+    def test_matches_cubic_spline(self, case):
+        idx, values, n = case
+        ref, knot_values = _reference_envelope(idx, values, n)
+        got = _envelope(idx, values, n)
+        scale = float(np.ptp(knot_values)) or float(np.max(np.abs(knot_values)))
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+
+    def test_interpolates_the_extrema(self):
+        x = np.sin(0.3 * np.arange(200.0)) + 0.1 * np.arange(200.0)
+        idx = emd._extrema(x)[0]
+        assert np.allclose(_envelope(idx, x, 200)[idx], x[idx], rtol=0.0, atol=1e-12 * np.ptp(x))
+
+    def test_singular_system_raises(self):
+        # knots that double back give a zero pivot
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            _natural_spline(np.array([0.0, 1.0, 0.0]), np.array([1.0, 2.0, 3.0]), 1)
+
+
+def test_import_leaves_scipy_interpolate_out():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = "import sys, lfodetect, lfodetect.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def _reference_persistent_extrema(x, swing):
