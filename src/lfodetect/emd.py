@@ -318,8 +318,9 @@ def decompose(w: SampleWindow, cfg: AnalysisConfig | None = None) -> ImfSet:
     return ImfSet(tuple(imfs), residue)
 
 
-def select_band(w: SampleWindow, imf_set: ImfSet, cfg: AnalysisConfig | None = None
-                ) -> tuple[tuple[int, ...], SampleWindow]:
+def select_band(
+    w: SampleWindow, imf_set: ImfSet, cfg: AnalysisConfig | None = None
+) -> tuple[tuple[int, ...], SampleWindow]:
     """The IMFs of `imf_set` (the decomposition of w) whose mean frequency
     lies inside cfg.emd_band_hz (inclusive bounds), as their indices and
     as the window holding their sum. The residue is always excluded.

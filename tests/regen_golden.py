@@ -107,7 +107,7 @@ def run_corpus(work: Path) -> dict:
     }
 
 
-def main_regen() -> int:
+def regenerate() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         golden = run_corpus(Path(tmp))
     GOLDEN.parent.mkdir(parents=True, exist_ok=True)
@@ -117,4 +117,4 @@ def main_regen() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main_regen())
+    sys.exit(regenerate())
