@@ -241,26 +241,6 @@ def _resolve_settings(args, analysis: bool = True):
         raise InvalidSetting(f"invalid setting: {exc}") from exc
 
 
-def _check_half_window_order(policy: WindowingPolicy, cfg: AnalysisConfig) -> None:
-    """`detect` refits each half of a window to test mode stability; an
-    order a half window cannot support would make every refit fail and
-    silently skip that gate.
-
-    Raises:
-        InvalidSetting: the order exceeds the half-window limit.
-    """
-    half = policy.window_samples // 2
-    if cfg.prony_order is None or half < detector.MIN_STABILITY_HALF:
-        return
-    limit = half // 3
-    if cfg.prony_order > limit:
-        raise InvalidSetting(
-            f"invalid setting: order {cfg.prony_order} exceeds {limit}, the most a half window "
-            f"of {half} samples supports (detect refits both halves of each "
-            f"{policy.window_samples}-sample window)"
-        )
-
-
 def _window_prefix(w) -> str:
     return f"{w.station_id}_{w.channel.value}_{w.t0_ms}"
 
@@ -394,7 +374,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_detect(args) -> int:
     policy, cfg = _resolve_settings(args)
-    _check_half_window_order(policy, cfg)
+    if cfg.prony_order is not None:
+        try:
+            detector.check_stability_order(policy.window_samples, cfg.prony_order)
+        except prony.OrderTooHigh as exc:
+            raise InvalidSetting(f"invalid setting: {exc}") from exc
     alarms = []
 
     def analyse(w, prefix):

@@ -112,7 +112,26 @@ def _severity(damping: float, classes: frozenset[ModeClass], cfg: AnalysisConfig
 
 
 #: Windows whose halves hold fewer samples skip the stability gate.
-MIN_STABILITY_HALF = 12
+_MIN_STABILITY_HALF = 12
+
+
+def check_stability_order(window_samples: int, order: int) -> None:
+    """Reject a Prony order the stability gate's half-window refits cannot
+    support on windows of `window_samples` (windows too short for the gate
+    accept any order).
+
+    Raises:
+        prony.OrderTooHigh: order exceeds the half-window limit.
+    """
+    half = window_samples // 2
+    if half < _MIN_STABILITY_HALF:
+        return
+    limit = prony.max_order(half)
+    if order > limit:
+        raise prony.OrderTooHigh(
+            f"order {order} exceeds {limit}, the most a half window of {half} samples "
+            f"supports (detect refits both halves of each {window_samples}-sample window)"
+        )
 
 
 def _stable_modes(bp: SampleWindow, modes, cfg: AnalysisConfig):
@@ -122,7 +141,7 @@ def _stable_modes(bp: SampleWindow, modes, cfg: AnalysisConfig):
     if not modes:
         return modes
     half = bp.count // 2
-    if half < MIN_STABILITY_HALF:
+    if half < _MIN_STABILITY_HALF:
         return modes
     try:
         first = prony.prony_analyze(bp.replace_samples(bp.samples[:half]), cfg)
@@ -181,11 +200,11 @@ def detect(w: SampleWindow, cfg: AnalysisConfig | None = None) -> DetectionRepor
     except EmptyBand:
         peaks = []
 
-    # the fit-quality gate first: it can empty the candidates without the
-    # two half-window refits the stability gate costs
-    candidates = fit.modes if fit.fit_quality >= cfg.min_fit_quality else ()
+    candidates = fit.modes
     if cfg.require_stable_modes:
         candidates = _stable_modes(bp, candidates, cfg)
+    if fit.fit_quality < cfg.min_fit_quality:
+        candidates = ()
 
     tol = cfg.resolve_match_tolerance(w.duration)
     pairs = match_modes(candidates, peaks, tol)

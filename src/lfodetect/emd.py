@@ -98,13 +98,6 @@ def _extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (nz[flips] + 1 + nz[flips + 1]) // 2, s[flips] > 0
 
 
-def _local_extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Interior local maxima and minima indices; plateaus count once, at
-    their midpoint."""
-    idx, is_max = _extrema(x)
-    return idx[is_max], idx[~is_max]
-
-
 def _count_zero_crossings(x: np.ndarray, hysteresis: float = 0.0) -> int:
     """Sign changes, with exact zeros collapsed (touching zero without
     crossing does not count). A nonzero hysteresis adds a dead zone

@@ -66,6 +66,11 @@ class RootSolverDiverged(RuntimeError):
     """A computed root leaves a residual above tolerance."""
 
 
+def max_order(count: int) -> int:
+    """Highest model order `count` samples support (three samples per order)."""
+    return count // 3
+
+
 def fit_lpm(w: SampleWindow, order: int) -> np.ndarray:
     """Least-squares coefficients a_1..a_N of the linear prediction model
     y[m] = a_1*y[m-1] + ... + a_N*y[m-N] over m = N..count-1.
@@ -79,7 +84,7 @@ def fit_lpm(w: SampleWindow, order: int) -> np.ndarray:
         raise ValueError(f"order must be >= 1, got {order}")
     y = w.samples
     count = y.size
-    if count < 3 * order:
+    if order > max_order(count):
         raise OrderTooHigh(f"{count} samples cannot support order {order} (need >= {3 * order})")
     # row m holds y[m+N-1], ..., y[m]: the N samples that predict y[m+N]
     design = sliding_window_view(y[:-1], order)[:, ::-1]

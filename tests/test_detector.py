@@ -179,41 +179,6 @@ class TestDetect:
             assert peak.frequency not in matched_peaks
 
 
-class TestGateOrder:
-    """The fit-quality gate runs before the half-window refits."""
-
-    @staticmethod
-    def _count_fits(monkeypatch):
-        from lfodetect import prony
-
-        counts = []
-        real = prony.prony_analyze
-
-        def spy(w, cfg=None):
-            counts.append(w.count)
-            return real(w, cfg)
-
-        monkeypatch.setattr(prony, "prony_analyze", spy)
-        return counts
-
-    def test_low_fit_quality_skips_half_window_refits(self, monkeypatch):
-        w = generate(SynthSpec(tones=(), dt=0.04, count=626, noise_sigma=0.01, rng_seed=1))
-        counts = self._count_fits(monkeypatch)
-        report = detect(w)
-        assert report.prony_fit.modes, "the gate must have candidates to discard"
-        assert report.prony_fit.fit_quality < AnalysisConfig().min_fit_quality
-        assert counts == [626]
-        assert report.alarms == ()
-
-    def test_good_fit_still_refits_both_halves(self, monkeypatch):
-        w = generate(
-            SynthSpec(tones=(ToneSpec(0.1, 0.52, phase=0.3, damping=0.05),), dt=0.04, count=626, noise_snr_db=40, rng_seed=3)
-        )
-        counts = self._count_fits(monkeypatch)
-        assert len(detect(w).alarms) == 1
-        assert counts == [626, 313, 313]
-
-
 def make_noise_window(rng):
     from lfodetect import Channel, SampleWindow
 

@@ -20,7 +20,7 @@ from lfodetect import (
     mean_frequency,
 )
 from lfodetect import emd
-from lfodetect.emd import _envelope, _local_extrema, _natural_spline, _persistent_extrema, imf_balance
+from lfodetect.emd import _envelope, _natural_spline, _persistent_extrema, imf_balance
 
 
 def _corr(a, b):
@@ -218,6 +218,12 @@ def test_import_leaves_scipy_interpolate_out():
     code = "import sys, lfodetect, lfodetect.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def _local_extrema(x):
+    """Interior local maxima and minima indices, as two arrays."""
+    idx, is_max = emd._extrema(x)
+    return idx[is_max], idx[~is_max]
 
 
 def _reference_persistent_extrema(x, swing):
