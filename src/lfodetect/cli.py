@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -36,11 +37,11 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CRITICAL = 3
 
+#: Settings that are WindowingPolicy fields under the same name.
+_POLICY_KEYS = ("window_seconds", "stride_seconds", "expected_dt", "max_gap_fraction")
+
 #: Keys a --config file may set; any other key is most likely a typo.
-_CONFIG_KEYS = frozenset({
-    "window_seconds", "stride_seconds", "expected_dt", "max_gap_fraction",
-    "order", "band", "match_tolerance", "min_amplitude_fraction",
-})
+_CONFIG_KEYS = frozenset(_POLICY_KEYS + ("order", "band", "match_tolerance", "min_amplitude_fraction"))
 
 
 class InvalidSetting(ValueError):
@@ -64,11 +65,6 @@ _INPUT_ERRORS = (
     argparse.ArgumentTypeError,
     AnalysisFailure,
 )
-
-
-def _fmt(x: float) -> str:
-    """Full-precision numeric formatting (round-trips float64)."""
-    return format(float(x), ".17g")
 
 
 def _sha256(path: Path) -> str:
@@ -107,17 +103,18 @@ def _parse_tone(text: str) -> signalgen.ToneSpec:
 
 
 def _add_windowing_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--window-seconds", type=float, default=None, help="analysis window length (default 25)")
-    parser.add_argument("--stride-seconds", type=float, default=None, help="window advance (default 5)")
-    parser.add_argument("--expected-dt", type=float, default=None, help="sample interval in seconds (default 0.04)")
-    parser.add_argument("--max-gap-fraction", type=float, default=None, help="max missing fraction per window (default 0.01)")
+    helps = ("analysis window length", "window advance", "sample interval in seconds", "max missing fraction per window")
+    for name, text in zip(_POLICY_KEYS, helps):
+        parser.add_argument(f"--{name.replace('_', '-')}", type=float, default=None,
+                            help=f"{text} (default {getattr(WindowingPolicy, name):g})")
 
 
 def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
+    floor = AnalysisConfig.min_mode_amplitude_fraction
     parser.add_argument("--order", type=int, default=None, help="prediction model order (default: automatic)")
-    parser.add_argument("--band", type=_parse_band, default=None, metavar="LO,HI", help="analysis band in Hz (default 0.1,2.0)")
+    parser.add_argument("--band", type=_parse_band, default=None, metavar="LO,HI", help="analysis band in Hz (default %s,%s)" % AnalysisConfig.emd_band_hz)
     parser.add_argument("--match-tolerance", type=float, default=None, help="mode/peak match tolerance in Hz (default: automatic)")
-    parser.add_argument("--min-amplitude-fraction", type=float, default=None, help="relative amplitude floor for modes (default 0.02)")
+    parser.add_argument("--min-amplitude-fraction", type=float, default=None, help=f"relative amplitude floor for modes (default {floor:g})")
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -134,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="write a synthetic archive CSV")
     p_synth.add_argument("--tone", action="append", type=_parse_tone, default=None,
                          metavar="A,F[,SIGMA[,THETA]]", help="add a damped cosine (repeatable)")
-    p_synth.add_argument("--dt", type=float, default=0.04)
-    p_synth.add_argument("--seconds", type=float, default=25.0)
+    p_synth.add_argument("--dt", type=float, default=WindowingPolicy.expected_dt, help="sample interval (default %(default)s)")
+    p_synth.add_argument("--seconds", type=float, default=WindowingPolicy.window_seconds, help="seconds of data (default %(default)s)")
     p_synth.add_argument("--snr-db", type=float, default=None, help="white noise level relative to tone power")
     p_synth.add_argument("--noise-sigma", type=float, default=None, help="absolute white noise sigma (for noise-only archives)")
     p_synth.add_argument("--seed", type=int, default=0)
@@ -191,37 +188,30 @@ def _load_config(path: Path | None) -> dict:
     return data
 
 
-def _setting(args, config: dict, name: str, builtin):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in config:
-        return config[name]
-    return builtin
+def _given(args, config: dict) -> dict:
+    """The settings a flag or the config file set, flags winning. Anything
+    unset is left to the WindowingPolicy and AnalysisConfig defaults."""
+    flags = {name: getattr(args, name, None) for name in _CONFIG_KEYS}
+    return {**config, **{name: value for name, value in flags.items() if value is not None}}
 
 
-def _resolve_policy(args, config: dict) -> WindowingPolicy:
-    return WindowingPolicy(
-        window_seconds=float(_setting(args, config, "window_seconds", 25.0)),
-        stride_seconds=float(_setting(args, config, "stride_seconds", 5.0)),
-        expected_dt=float(_setting(args, config, "expected_dt", 0.04)),
-        max_gap_fraction=float(_setting(args, config, "max_gap_fraction", 0.01)),
-    )
+def _resolve_policy(given: dict) -> WindowingPolicy:
+    return WindowingPolicy(**{name: float(given[name]) for name in _POLICY_KEYS if name in given})
 
 
-def _resolve_analysis(args, config: dict) -> AnalysisConfig:
-    band = _setting(args, config, "band", (0.1, 2.0))
-    if isinstance(band, str):
-        band = _parse_band(band)
-    lo, hi = band
-    order = _setting(args, config, "order", None)
-    tolerance = _setting(args, config, "match_tolerance", None)
-    return AnalysisConfig(
-        prony_order=None if order in (None, "auto") else int(order),
-        emd_band_hz=(float(lo), float(hi)),
-        match_tolerance_hz=None if tolerance in (None, "auto") else float(tolerance),
-        min_mode_amplitude_fraction=float(_setting(args, config, "min_amplitude_fraction", 0.02)),
-    )
+def _resolve_analysis(given: dict) -> AnalysisConfig:
+    fields = {}
+    if "band" in given:
+        band = given["band"]
+        lo, hi = _parse_band(band) if isinstance(band, str) else band
+        fields["emd_band_hz"] = (float(lo), float(hi))
+    if given.get("order") not in (None, "auto"):
+        fields["prony_order"] = int(given["order"])
+    if given.get("match_tolerance") not in (None, "auto"):
+        fields["match_tolerance_hz"] = float(given["match_tolerance"])
+    if "min_amplitude_fraction" in given:
+        fields["min_mode_amplitude_fraction"] = float(given["min_amplitude_fraction"])
+    return AnalysisConfig(**fields)
 
 
 def _resolve_settings(args, analysis: bool = True):
@@ -231,12 +221,9 @@ def _resolve_settings(args, analysis: bool = True):
     Raises:
         InvalidSetting: a value has the wrong type or is out of range.
     """
-    config = _load_config(args.config)
+    given = _given(args, _load_config(args.config))
     try:
-        return (
-            _resolve_policy(args, config),
-            _resolve_analysis(args, config) if analysis else None,
-        )
+        return _resolve_policy(given), _resolve_analysis(given) if analysis else None
     except (TypeError, ValueError) as exc:
         raise InvalidSetting(f"invalid setting: {exc}") from exc
 
@@ -308,6 +295,9 @@ def cmd_synth(args) -> int:
         print("error: give at least one --tone (or --noise-sigma for a noise-only archive)",
               file=sys.stderr)
         return EXIT_USAGE
+    for flag, value in (("--dt", args.dt), ("--seconds", args.seconds)):
+        if not (math.isfinite(value) and value > 0):
+            raise InvalidSetting(f"invalid setting: {flag} must be positive and finite, got {value}")
     count = int(round(args.seconds / args.dt))
     spec = signalgen.SynthSpec(
         tones=tones,
@@ -326,30 +316,30 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _write_csv(path: Path, header: str, columns) -> None:
+    """Write equal-length numeric `columns` under `header`, every value at
+    17 significant digits (round-trips float64)."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    _atomic_write(path, [header + "\n"] + [row % values for values in zip(*columns)])
+
+
 def _write_mode_table(path: Path, modes, fit_quality: float) -> None:
-    rows = ["amplitude,damping,frequency_hz,phase_rad,energy_fraction,fit_quality"]
-    for m in modes:
-        rows.append(",".join(_fmt(v) for v in (m.amplitude, m.damping, m.frequency, m.phase,
-                                                m.energy_fraction, fit_quality)))
-    _atomic_write(path, (row + "\n" for row in rows))
+    fields = ("amplitude", "damping", "frequency", "phase", "energy_fraction")
+    columns = [[getattr(m, f) for m in modes] for f in fields] + [[fit_quality] * len(modes)]
+    _write_csv(path, "amplitude,damping,frequency_hz,phase_rad,energy_fraction,fit_quality", columns)
 
 
 def _write_imf_dump(path: Path, window, imf_set) -> None:
     names = [f"imf{i + 1}" for i in range(len(imf_set.imfs))]
-    header = ",".join(["time_s"] + names + ["residue"])
-    t = window.times
-    columns = [imf.samples for imf in imf_set.imfs] + [imf_set.residue]
-    rows = [header]
-    for i in range(window.count):
-        rows.append(",".join([_fmt(t[i])] + [_fmt(col[i]) for col in columns]))
-    _atomic_write(path, (row + "\n" for row in rows))
+    columns = [window.times] + [imf.samples for imf in imf_set.imfs] + [imf_set.residue]
+    _write_csv(path, ",".join(["time_s"] + names + ["residue"]), columns)
 
 
 def cmd_analyze(args) -> int:
     policy, cfg = _resolve_settings(args)
 
     def analyse(w, prefix):
-        imf_set = emd.decompose(w, cfg) if args.emd or args.dump_imfs else None
+        imf_set = emd.decompose(w) if args.emd or args.dump_imfs else None
         target = w
         if args.emd:
             try:
@@ -409,9 +399,7 @@ def cmd_spectrum(args) -> int:
             keep = (freqs >= lo) & (freqs <= hi)
             freqs, mags, phases = freqs[keep], mags[keep], phases[keep]
         name = f"{prefix}_spectrum.csv"
-        rows = ["frequency_hz,magnitude,phase_rad"]
-        rows += [f"{_fmt(f)},{_fmt(m)},{_fmt(p)}" for f, m, p in zip(freqs, mags, phases)]
-        _atomic_write(args.out_dir / name, (row + "\n" for row in rows))
+        _write_csv(args.out_dir / name, "frequency_hz,magnitude,phase_rad", [freqs, mags, phases])
         return "analyzed", [name]
 
     _run(args, "spectrum", policy, None, analyse)

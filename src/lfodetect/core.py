@@ -277,11 +277,17 @@ class AlarmEvent:
         }
 
 
+def max_order(count: int) -> int:
+    """Highest model order `count` samples support (three samples per order)."""
+    return count // 3
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Tuning knobs for the whole pipeline.
+    """The pipeline's settable tuning values. The fixed parts of the recipe
+    are constants beside the stage that uses them (emd, detector).
 
-    prony_order None means automatic: min(count // 3, 60), honoring the
+    prony_order None means automatic: min(max_order(count), 60), honoring the
     rule that the sample count should be at least three times the order.
     The generous ceiling matters in noise: surplus poles absorb the noise
     that otherwise biases damping estimates of the real modes.
@@ -291,15 +297,9 @@ class AnalysisConfig:
 
     prony_order: int | None = None
     emd_band_hz: tuple[float, float] = (0.1, 2.0)
-    max_sift_iterations: int = 50
-    sift_sd_threshold: float = 0.2
     match_tolerance_hz: float | None = None
     min_mode_amplitude_fraction: float = 0.02
     slow_decay_threshold: float = 0.05
-    min_fit_quality: float = 0.5
-    require_stable_modes: bool = True
-    max_fft_peaks: int = 10
-    fft_peak_min_fraction: float = 0.1
 
     def __post_init__(self):
         lo, hi = self.emd_band_hz
@@ -308,25 +308,17 @@ class AnalysisConfig:
         object.__setattr__(self, "emd_band_hz", (float(lo), float(hi)))
         if self.prony_order is not None and self.prony_order < 1:
             raise ValueError("prony_order must be positive")
-        if self.max_sift_iterations < 1:
-            raise ValueError("max_sift_iterations must be positive")
-        if self.sift_sd_threshold <= 0:
-            raise ValueError("sift_sd_threshold must be positive")
         if self.match_tolerance_hz is not None and self.match_tolerance_hz <= 0:
             raise ValueError("match_tolerance_hz must be positive")
         if not (0 <= self.min_mode_amplitude_fraction < 1):
             raise ValueError("min_mode_amplitude_fraction must lie in [0, 1)")
         if self.slow_decay_threshold < 0:
             raise ValueError("slow_decay_threshold must be >= 0")
-        if self.max_fft_peaks < 1:
-            raise ValueError("max_fft_peaks must be positive")
-        if not (0 <= self.fft_peak_min_fraction < 1):
-            raise ValueError("fft_peak_min_fraction must lie in [0, 1)")
 
     def resolve_order(self, count: int) -> int:
         if self.prony_order is not None:
             return self.prony_order
-        return max(1, min(count // 3, 60))
+        return max(1, min(max_order(count), 60))
 
     def resolve_match_tolerance(self, duration_s: float) -> float:
         if self.match_tolerance_hz is not None:

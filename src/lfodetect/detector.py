@@ -5,14 +5,17 @@ spectral peak picking on the same filtered signal, then frequency matching
 across the two methods. Only modes confirmed by both routes raise alarms,
 which keeps single-method artifacts away from the operator.
 
-Three additional gates suppress alarms on noise and on band-pass leakage:
+Three additional gates suppress alarms on noise and on band-pass leakage.
+They are fixed parts of the method, so their thresholds are the module
+constants below, not AnalysisConfig fields:
   * the whole fit must reconstruct the filtered window reasonably
-    (fit_quality >= cfg.min_fit_quality);
+    (fit_quality >= MIN_FIT_QUALITY);
   * a candidate mode must persist in independent fits of the two window
     halves (noise modes wander between halves, real modes do not);
-  * spectral peaks below cfg.fft_peak_min_fraction of the band maximum are
-    ignored (band-pass sifting leaks percent-level slow artifacts that both
-    methods would otherwise agree on).
+  * only the MAX_FFT_PEAKS strongest spectral peaks count, and peaks below
+    FFT_PEAK_MIN_FRACTION of the band maximum are ignored (band-pass
+    sifting leaks percent-level slow artifacts that both methods would
+    otherwise agree on).
 """
 
 from __future__ import annotations
@@ -33,12 +36,22 @@ from .core import (
     SampleWindow,
     Severity,
     SpectrumPeak,
+    max_order,
     validate_window,
 )
 
 logger = logging.getLogger(__name__)
 
 _ESCALATION_CLASSES = frozenset({ModeClass.InterArea, ModeClass.Local})
+
+#: Fits reconstructing the band-passed window worse than this raise no alarm.
+MIN_FIT_QUALITY = 0.5
+
+#: At most this many spectral peaks, strongest first, go to matching.
+MAX_FFT_PEAKS = 10
+
+#: Spectral peaks below this fraction of the band maximum are ignored.
+FFT_PEAK_MIN_FRACTION = 0.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +139,7 @@ def check_stability_order(window_samples: int, order: int) -> None:
     half = window_samples // 2
     if half < _MIN_STABILITY_HALF:
         return
-    limit = prony.max_order(half)
+    limit = max_order(half)
     if order > limit:
         raise prony.OrderTooHigh(
             f"order {order} exceeds {limit}, the most a half window of {half} samples "
@@ -195,15 +208,13 @@ def detect(w: SampleWindow, cfg: AnalysisConfig | None = None) -> DetectionRepor
     spec = spectrum.dft(bp, spectrum.WindowFunction.Hann)
     try:
         peaks = spectrum.find_peaks(
-            spec, cfg.emd_band_hz, cfg.max_fft_peaks, cfg.fft_peak_min_fraction
+            spec, cfg.emd_band_hz, MAX_FFT_PEAKS, FFT_PEAK_MIN_FRACTION
         )
     except EmptyBand:
         peaks = []
 
-    candidates = fit.modes
-    if cfg.require_stable_modes:
-        candidates = _stable_modes(bp, candidates, cfg)
-    if fit.fit_quality < cfg.min_fit_quality:
+    candidates = _stable_modes(bp, fit.modes, cfg)
+    if fit.fit_quality < MIN_FIT_QUALITY:
         candidates = ()
 
     tol = cfg.resolve_match_tolerance(w.duration)

@@ -17,16 +17,16 @@ Sifting details:
     outer neighbours into a new pair. A heap over a linked list of the
     survivors makes this O(n log n) in the number of extrema;
   * a candidate is accepted as an IMF when the envelope-mean energy ratio
-    SD = sum(m^2) / sum(d_prev^2) drops below the configured threshold and
-    the extrema / zero-crossing counts balance to within one, or when the
-    iteration cap is reached. The balance is measured on the same
+    SD = sum(m^2) / sum(d_prev^2) drops below SIFT_SD_THRESHOLD and
+    the extrema / zero-crossing counts balance to within one, or after
+    MAX_SIFT_ITERATIONS passes. The balance is measured on the same
     persistent-extrema skeleton: each sift pass subtracts a spline
     interpolant, which injects sub-scale wiggles, and counting those would
     force extra passes that inject even more until the wiggles dominate
     the crossing count;
-  * decomposition stops when the residue has fewer than 3 interior extrema
-    (a spline needs material to interpolate), when the extracted component
-    is floating-point dust, or after 12 IMFs.
+  * decomposition stops when the residue has fewer than 3 persistent
+    extrema (a spline needs material to interpolate), when the extracted
+    component is floating-point dust, or after 12 IMFs.
 """
 
 from __future__ import annotations
@@ -45,6 +45,13 @@ MAX_IMFS = 12
 
 #: Below this many interior extrema the signal is treated as a trend.
 MIN_SIFT_EXTREMA = 3
+
+#: Sifting passes per IMF before the candidate is accepted as it stands.
+MAX_SIFT_ITERATIONS = 50
+
+#: A candidate whose envelope-mean energy ratio SD falls below this (and
+#: whose extrema and zero crossings balance) is accepted as an IMF.
+SIFT_SD_THRESHOLD = 0.2
 
 #: An extracted component this small relative to the input is floating-point
 #: dust left over from envelope subtraction, not a real oscillation.
@@ -258,7 +265,7 @@ def imf_balance(samples) -> int:
     return _balance(x, _skeleton(x)[0])
 
 
-def _sift(x: np.ndarray, cfg: AnalysisConfig) -> np.ndarray | None:
+def _sift(x: np.ndarray) -> np.ndarray | None:
     """Extract one IMF from x, or None when x cannot be sifted at all.
 
     Envelope knots are the persistent extrema: a sub-scale contra-extremum
@@ -270,7 +277,7 @@ def _sift(x: np.ndarray, cfg: AnalysisConfig) -> np.ndarray | None:
     n = x.size
     d = np.array(x, dtype=float)
     skeleton = None
-    for k in range(cfg.max_sift_iterations):
+    for k in range(MAX_SIFT_ITERATIONS):
         if skeleton is None:
             skeleton = _skeleton(d)
         idx, is_max = skeleton
@@ -283,27 +290,24 @@ def _sift(x: np.ndarray, cfg: AnalysisConfig) -> np.ndarray | None:
         denom = float(np.dot(d, d))
         sd = float(np.dot(m, m)) / denom if denom > 0.0 else 0.0
         d = d - m
-        skeleton = _skeleton(d) if sd < cfg.sift_sd_threshold else None
+        skeleton = _skeleton(d) if sd < SIFT_SD_THRESHOLD else None
         if skeleton is not None and abs(_balance(d, skeleton[0])) <= 1:
             break
     return d
 
 
-def decompose(w: SampleWindow, cfg: AnalysisConfig | None = None) -> ImfSet:
+def decompose(w: SampleWindow) -> ImfSet:
     """Sift the window into IMFs plus a residue.
 
     Deterministic; degenerate inputs (no interior extrema) yield zero IMFs
     and residue equal to the input.
     """
-    cfg = cfg or AnalysisConfig()
     validate_window(w)
     residue = np.array(w.samples, dtype=float)
     dust = _DUST_FRACTION * float(np.max(np.abs(residue))) if residue.size else 0.0
     imfs: list[Imf] = []
     while len(imfs) < MAX_IMFS:
-        if _extrema(residue)[0].size < MIN_SIFT_EXTREMA:
-            break
-        d = _sift(residue, cfg)
+        d = _sift(residue)
         if d is None or float(np.max(np.abs(d))) <= dust:
             break
         imfs.append(Imf(d, mean_frequency(d, w.dt)))
@@ -347,4 +351,4 @@ def bandpass(w: SampleWindow, cfg: AnalysisConfig | None = None) -> SampleWindow
     Raises:
         EmptyBand: no material IMF falls in the band, i.e. nothing to analyze.
     """
-    return select_band(w, decompose(w, cfg), cfg)[1]
+    return select_band(w, decompose(w), cfg)[1]

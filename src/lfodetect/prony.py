@@ -35,6 +35,7 @@ from .core import (
     PronyFit,
     PronyMode,
     SampleWindow,
+    max_order,
     validate_window,
     wrap_angle,
 )
@@ -64,11 +65,6 @@ class InsufficientExcitation(ValueError):
 
 class RootSolverDiverged(RuntimeError):
     """A computed root leaves a residual above tolerance."""
-
-
-def max_order(count: int) -> int:
-    """Highest model order `count` samples support (three samples per order)."""
-    return count // 3
 
 
 def fit_lpm(w: SampleWindow, order: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -5,9 +6,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import lfodetect as lf
+from lfodetect import cli
 from lfodetect.cli import main
-from lfodetect.core import Channel, SampleWindow
-from lfodetect.ingest import _atomic_write, write_archive
+from lfodetect.core import AnalysisConfig, Channel, PronyMode, SampleWindow
+from lfodetect.ingest import WindowingPolicy, _atomic_write, write_archive
 
 HEADER = "timestamp_ms,station_id,channel,value"
 
@@ -52,6 +55,18 @@ class TestSynth:
 
     def test_bad_tone_syntax(self, tmp_path):
         assert run("synth", "--tone", "nonsense", "-o", tmp_path / "a.csv") == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--dt", "0"), ("--dt", "nan"), ("--dt", "-0.04"), ("--seconds", "nan"), ("--seconds", "inf")],
+    )
+    def test_bad_dt_or_seconds_is_input_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.csv"
+        assert run("synth", "--tone", "0.1,0.52", flag, value, "-o", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag in err
+        assert not out.exists()
 
 
 class TestAnalyze:
@@ -211,6 +226,81 @@ class TestManifest:
         produced = {p.name for p in out.iterdir()} - {"run_manifest.json"}
         assert produced == set(manifest["artifacts"])
 
+    @pytest.mark.parametrize(
+        "settings, flags, policy, cfg",
+        [
+            (None, [], WindowingPolicy(), AnalysisConfig()),
+            (
+                {"window_seconds": 20, "stride_seconds": 4, "min_amplitude_fraction": 0.05},
+                ["--window-seconds", "15", "--min-amplitude-fraction", "0.03"],
+                WindowingPolicy(window_seconds=15.0, stride_seconds=4.0),
+                AnalysisConfig(min_mode_amplitude_fraction=0.03),
+            ),
+        ],
+        ids=["defaults", "flag-overrides-config"],
+    )
+    def test_records_resolved_settings(self, growing_archive, tmp_path, settings, flags, policy, cfg):
+        if settings is not None:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps(settings))
+            flags = flags + ["--config", config]
+        out = tmp_path / "out"
+        run("detect", growing_archive, "--out-dir", out, *flags)
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["windowing"] == dataclasses.asdict(policy)
+        assert manifest["config"] == {
+            "prony_order": cfg.prony_order,
+            "band_hz": list(cfg.emd_band_hz),
+            "match_tolerance_hz": cfg.match_tolerance_hz,
+            "min_mode_amplitude_fraction": cfg.min_mode_amplitude_fraction,
+        }
+
+
+def _reference_csv(header, rows):
+    return "".join([header + "\n"] + [",".join(format(v, ".17g") for v in row) + "\n" for row in rows])
+
+
+class TestCsvBytes:
+    """Every numeric CSV cell is format(value, ".17g"), which round-trips float64."""
+
+    def test_mode_table(self, tmp_path):
+        modes = [
+            PronyMode(0.1, 0.05, 0.52, 0.3, 0.75),
+            PronyMode(5e-324, -0.0, 0.0, -3.0, 0.25),
+            PronyMode(1.7976931348623157e308, -1e-310, 1 / 3, np.pi, 0.0),
+        ]
+        path = tmp_path / "modes.csv"
+        cli._write_mode_table(path, modes, 0.9999999999999999)
+        rows = [(m.amplitude, m.damping, m.frequency, m.phase, m.energy_fraction, 0.9999999999999999)
+                for m in modes]
+        header = "amplitude,damping,frequency_hz,phase_rad,energy_fraction,fit_quality"
+        assert path.read_text() == _reference_csv(header, rows)
+
+    @pytest.mark.parametrize("kind", ["tone", "ramp"])
+    def test_imf_dump(self, tmp_path, kind):
+        t = np.arange(626) * 0.04
+        samples = np.cos(2 * np.pi * 0.52 * t) + 0.3 * np.cos(2 * np.pi * 1.9 * t) if kind == "tone" else 0.01 * t
+        w = SampleWindow("s", Channel.Frequency_Hz, 0, 0.04, samples)
+        imf_set = lf.decompose(w)
+        assert (len(imf_set.imfs) > 0) == (kind == "tone")
+        path = tmp_path / "imfs.csv"
+        cli._write_imf_dump(path, w, imf_set)
+        names = [f"imf{i + 1}" for i in range(len(imf_set.imfs))]
+        columns = [w.times] + [imf.samples for imf in imf_set.imfs] + [imf_set.residue]
+        rows = [[float(col[i]) for col in columns] for i in range(w.count)]
+        assert path.read_text() == _reference_csv(",".join(["time_s"] + names + ["residue"]), rows)
+
+    def test_spectrum(self, tmp_path):
+        archive = tmp_path / "a.csv"
+        run("synth", "--tone", "0.2,0.52", "--snr-db", "30", "--seconds", "25.04", "-o", archive)
+        out = tmp_path / "out"
+        assert run("spectrum", archive, "--out-dir", out, "--window-fn", "hann") == 0
+        (w,) = lf.make_windows(lf.read_archive(archive), WindowingPolicy())
+        freqs, mags, phases = lf.dft(w, lf.WindowFunction.Hann).one_sided()
+        rows = [(float(f), float(m), float(p)) for f, m, p in zip(freqs, mags, phases)]
+        (csv,) = out.glob("*_spectrum.csv")
+        assert csv.read_text() == _reference_csv("frequency_hz,magnitude,phase_rad", rows)
+
 
 class TestMultiWindowAndJobs:
     @pytest.fixture
@@ -289,9 +379,9 @@ class TestAnalyzeEmdFlag:
         calls = []
         real = emd.decompose
 
-        def spy(w, cfg=None):
+        def spy(w):
             calls.append(w.station_id)
-            return real(w, cfg)
+            return real(w)
 
         monkeypatch.setattr(emd, "decompose", spy)
         out = tmp_path / "out"

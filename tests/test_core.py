@@ -119,11 +119,26 @@ class TestModeBands:
 
 class TestAnalysisConfig:
     def test_defaults(self):
+        from lfodetect import detector, emd
+
         cfg = AnalysisConfig()
         assert cfg.emd_band_hz == (0.1, 2.0)
-        assert cfg.max_sift_iterations == 50
-        assert cfg.sift_sd_threshold == 0.2
         assert cfg.min_mode_amplitude_fraction == 0.02
+        # the fixed parts of the recipe are constants beside their stage
+        assert emd.MAX_SIFT_ITERATIONS == 50
+        assert emd.SIFT_SD_THRESHOLD == 0.2
+        assert detector.MIN_FIT_QUALITY == 0.5
+        assert detector.MAX_FFT_PEAKS == 10
+        assert detector.FFT_PEAK_MIN_FRACTION == 0.1
+
+    def test_settable_fields(self):
+        assert [f.name for f in dataclasses.fields(AnalysisConfig)] == [
+            "prony_order",
+            "emd_band_hz",
+            "match_tolerance_hz",
+            "min_mode_amplitude_fraction",
+            "slow_decay_threshold",
+        ]
 
     def test_bad_band(self):
         with pytest.raises(ValueError):

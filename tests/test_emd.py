@@ -310,6 +310,25 @@ class TestPersistentExtrema:
         decompose(_ac1_20db_window())
         assert len(inputs) == len(set(inputs))
 
+    def test_decompose_scans_extrema_only_for_skeletons(self, monkeypatch):
+        # the persistent extrema are a subset of the raw ones, so a separate
+        # raw scan before each sift could never stop earlier than the sift
+        calls = {"raw": 0, "persistent": 0}
+        raw, persistent = emd._extrema, emd._persistent_extrema
+
+        def raw_spy(x):
+            calls["raw"] += 1
+            return raw(x)
+
+        def persistent_spy(x, swing):
+            calls["persistent"] += 1
+            return persistent(x, swing)
+
+        monkeypatch.setattr(emd, "_extrema", raw_spy)
+        monkeypatch.setattr(emd, "_persistent_extrema", persistent_spy)
+        decompose(_ac1_20db_window())
+        assert calls["raw"] == calls["persistent"] > 0
+
 
 def _ac1_20db_window():
     """The acceptance suite's AC1 three-tone mix in 20 dB noise."""

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import lfodetect.prony as prony_mod
+from lfodetect import detector
 from lfodetect import (
     AnalysisConfig,
     Channel,
@@ -322,7 +323,7 @@ class TestPronyAnalyze:
         samples = rng.standard_normal(624)
         fit = prony_analyze(make_window(samples))
         assert fit.fit_quality < 0.9
-        assert fit.fit_quality < AnalysisConfig().min_fit_quality
+        assert fit.fit_quality < detector.MIN_FIT_QUALITY
 
     def test_white_noise_mode_frequencies_wander_between_halves(self, make_window):
         # split-window oracle: noise mode frequencies rarely reproduce in
