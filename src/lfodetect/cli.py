@@ -199,12 +199,19 @@ def _resolve_policy(given: dict) -> WindowingPolicy:
     return WindowingPolicy(**{name: float(given[name]) for name in _POLICY_KEYS if name in given})
 
 
+def _resolve_band(given: dict) -> tuple[float, float] | None:
+    if "band" not in given:
+        return None
+    band = given["band"]
+    lo, hi = _parse_band(band) if isinstance(band, str) else band
+    return float(lo), float(hi)
+
+
 def _resolve_analysis(given: dict) -> AnalysisConfig:
     fields = {}
-    if "band" in given:
-        band = given["band"]
-        lo, hi = _parse_band(band) if isinstance(band, str) else band
-        fields["emd_band_hz"] = (float(lo), float(hi))
+    band = _resolve_band(given)
+    if band is not None:
+        fields["emd_band_hz"] = band
     if given.get("order") not in (None, "auto"):
         fields["prony_order"] = int(given["order"])
     if given.get("match_tolerance") not in (None, "auto"):
@@ -214,16 +221,24 @@ def _resolve_analysis(given: dict) -> AnalysisConfig:
     return AnalysisConfig(**fields)
 
 
-def _resolve_settings(args, analysis: bool = True):
-    """(policy, analysis config or None) from flags, then the config file,
-    then the defaults.
+def _resolve_spectrum_band(given: dict) -> tuple[float, float] | None:
+    band = _resolve_band(given)
+    if band is not None and not band[0] < band[1]:
+        raise ValueError(f"band must satisfy low < high, got {band}")
+    return band
+
+
+def _resolve_settings(args, resolve=_resolve_analysis):
+    """(policy, resolve(settings)) from flags, then the config file, then
+    the defaults; `resolve` turns the settings into the command's own
+    configuration.
 
     Raises:
         InvalidSetting: a value has the wrong type or is out of range.
     """
     given = _given(args, _load_config(args.config))
     try:
-        return _resolve_policy(given), _resolve_analysis(given) if analysis else None
+        return _resolve_policy(given), resolve(given)
     except (TypeError, ValueError) as exc:
         raise InvalidSetting(f"invalid setting: {exc}") from exc
 
@@ -298,7 +313,12 @@ def cmd_synth(args) -> int:
     for flag, value in (("--dt", args.dt), ("--seconds", args.seconds)):
         if not (math.isfinite(value) and value > 0):
             raise InvalidSetting(f"invalid setting: {flag} must be positive and finite, got {value}")
-    count = int(round(args.seconds / args.dt))
+    ratio = args.seconds / args.dt
+    if not math.isfinite(ratio):
+        raise InvalidSetting(
+            f"invalid setting: --seconds / --dt must be finite, got {args.seconds} / {args.dt}"
+        )
+    count = int(round(ratio))
     spec = signalgen.SynthSpec(
         tones=tones,
         dt=args.dt,
@@ -387,15 +407,13 @@ def cmd_detect(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    policy, _ = _resolve_settings(args, analysis=False)
-    if args.band is not None and not args.band[0] < args.band[1]:
-        raise InvalidSetting(f"invalid setting: band must satisfy low < high, got {args.band}")
+    policy, band = _resolve_settings(args, _resolve_spectrum_band)
     window_fn = spectrum.WindowFunction(args.window_fn)
 
     def analyse(w, prefix):
         freqs, mags, phases = spectrum.dft(w, window_fn).one_sided()
-        if args.band is not None:
-            lo, hi = args.band
+        if band is not None:
+            lo, hi = band
             keep = (freqs >= lo) & (freqs <= hi)
             freqs, mags, phases = freqs[keep], mags[keep], phases[keep]
         name = f"{prefix}_spectrum.csv"

@@ -4,7 +4,8 @@ Archive format: UTF-8 CSV with the exact header
 ``timestamp_ms,station_id,channel,value``, one record per line, ``.`` as
 the decimal separator, LF or CRLF line endings. One UTF-8 byte-order mark
 before the header is dropped; a U+FEFF anywhere else is data. A data line
-that is not valid UTF-8 is skipped and noted like any malformed line.
+that is not valid UTF-8, or whose timestamp is not an integer that fits in
+int64, is skipped and noted like any malformed line.
 Windowing is timestamp-driven: records are snapped onto the expected
 sample grid, so permuting the input order never changes the emitted
 windows.
@@ -19,7 +20,7 @@ import re
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -37,6 +38,12 @@ _UNDECODABLE = re.compile("[\udc80-\udcff]")
 #: as irregular (the slot stays missing).
 _SLOT_TOLERANCE = 0.1
 
+#: Timestamps are windowed as int64; a line whose timestamp does not fit
+#: is a bad timestamp.
+_TIMESTAMP_MIN, _TIMESTAMP_MAX = -(2**63), 2**63 - 1
+
+_CHANNELS = {c.value: c for c in Channel}
+
 
 class FileUnreadable(OSError):
     """Archive file cannot be opened."""
@@ -50,8 +57,7 @@ class DtMismatch(ValueError):
     """Median record spacing disagrees with the configured sample interval."""
 
 
-@dataclass(frozen=True)
-class ArchiveRecord:
+class ArchiveRecord(NamedTuple):
     """One archive line; value None marks an explicitly missing sample."""
 
     timestamp_ms: int
@@ -102,11 +108,12 @@ class ParseReport:
 
 
 def read_archive(path, report: ParseReport | None = None) -> Iterator[ArchiveRecord]:
-    """Yield records in file order.
+    """Yield records in file order, lazily.
 
-    Malformed lines, including lines that are not valid UTF-8, are skipped
-    and noted in `report` (with line numbers); non-finite values yield
-    records marked missing. The stream never aborts on bad lines.
+    Malformed lines, including lines that are not valid UTF-8 and
+    timestamps outside int64, are skipped and noted in `report` (with line
+    numbers); non-finite values yield records marked missing. The stream
+    never aborts on bad lines.
 
     Raises:
         FileUnreadable: file cannot be opened.
@@ -126,45 +133,52 @@ def read_archive(path, report: ParseReport | None = None) -> Iterator[ArchiveRec
         raise SchemaMismatch(f"expected header {ARCHIVE_HEADER!r}, got {header!r}")
 
     def records() -> Iterator[ArchiveRecord]:
+        channels, isfinite, new = _CHANNELS, math.isfinite, tuple.__new__
+        stations: dict[str, str] = {}  # one str object per station, not per record
         with handle:
             for line_no, line in enumerate(handle, start=2):
                 if not line.isascii() and _UNDECODABLE.search(line):
                     if report is not None:
                         report.note(line_no, "not valid UTF-8")
                     continue
-                line = line.strip("\r\n")
-                if not line.strip():
+                try:
+                    # the line ending stays on value_text until its strip()
+                    ts_text, station, channel_text, value_text = line.split(",")
+                except ValueError:
+                    if report is not None and line.strip():  # blank lines are not noted
+                        report.note(line_no, f"expected 4 fields, got {line.count(',') + 1}")
                     continue
-                parts = line.split(",")
-                if len(parts) != 4:
-                    if report is not None:
-                        report.note(line_no, f"expected 4 fields, got {len(parts)}")
-                    continue
-                ts_text, station, channel_text, value_text = (p.strip() for p in parts)
+                ts_text = ts_text.strip()
                 try:
                     ts = int(ts_text)
                 except ValueError:
+                    ts = None
+                if ts is None or not _TIMESTAMP_MIN <= ts <= _TIMESTAMP_MAX:
                     if report is not None:
                         report.note(line_no, f"bad timestamp {ts_text!r}")
                     continue
-                try:
-                    channel = Channel(channel_text)
-                except ValueError:
+                channel_text = channel_text.strip()
+                channel = channels.get(channel_text)
+                if channel is None:
                     if report is not None:
                         report.note(line_no, f"unknown channel {channel_text!r}")
                     continue
+                value_text = value_text.strip()
                 try:
                     value: float | None = float(value_text)
                 except ValueError:
                     if report is not None:
                         report.note(line_no, f"bad value {value_text!r}")
                     continue
-                if not math.isfinite(value):
+                if not isfinite(value):
                     if report is not None:
                         report.note(line_no, f"non-finite value {value_text!r} marked missing")
                         report.missing_values += 1
                     value = None
-                yield ArchiveRecord(ts, station, channel, value)
+                station = station.strip()
+                station = stations.setdefault(station, station)
+                # tuple.__new__ skips the generated ArchiveRecord.__new__
+                yield new(ArchiveRecord, (ts, station, channel, value))
 
     return records()
 
@@ -181,49 +195,57 @@ def make_windows(
     Missing or irregular slots up to max_gap_fraction of a window are
     linearly interpolated; beyond that the window is skipped with a
     diagnostic. Emitted windows are ordered by (station, channel, t0).
+    Timestamps must fit in int64, as `read_archive` ensures.
 
     Raises:
         DtMismatch: a stream's median spacing deviates from expected_dt by
             more than 10%.
     """
     policy = policy or WindowingPolicy()
-    streams: dict[tuple[str, str], list[ArchiveRecord]] = {}
+    streams: dict[tuple[str, Channel], list[ArchiveRecord]] = {}
     for rec in records:
-        streams.setdefault((rec.station_id, rec.channel.value), []).append(rec)
+        key = (rec.station_id, rec.channel)
+        stream = streams.get(key)
+        if stream is None:
+            stream = streams[key] = []
+        stream.append(rec)
 
     dt_ms = policy.expected_dt * 1000.0
     windows: list[SampleWindow] = []
-    for (station, channel_value) in sorted(streams):
-        recs = streams[(station, channel_value)]
-        # deterministic under input permutation: full sort, first record wins a slot
-        recs.sort(key=lambda r: (r.timestamp_ms, r.value is None, r.value or 0.0))
-        ts = np.array([r.timestamp_ms for r in recs], dtype=float)
-        if ts.size < 2:
+    for station, channel in sorted(streams, key=lambda k: (k[0], k[1].value)):
+        channel_value = channel.value
+        recs = streams[(station, channel)]
+        if len(recs) < 2:
             continue
+        stamps = np.array([r.timestamp_ms for r in recs], dtype=np.int64)
+        vals = np.array([r.value for r in recs], dtype=float)  # None becomes NaN
+        absent = np.isnan(vals)
+        # deterministic under input permutation: a stable sort by (timestamp,
+        # missing last, value), then the first regular record wins a slot
+        order = np.lexsort((np.where(absent, 0.0, vals), absent, stamps))
+        stamps, absent, vals = stamps[order], absent[order], vals[order]
+        ts = stamps.astype(float)
         spacing = float(np.median(np.diff(ts)))
         if abs(spacing - dt_ms) > 0.1 * dt_ms:
             raise DtMismatch(
                 f"stream {station}/{channel_value}: median spacing {spacing:.3f} ms "
                 f"deviates from expected {dt_ms:.3f} ms by more than 10%"
             )
-        t_start = recs[0].timestamp_ms
+        t_start = int(stamps[0])
         n_slots = int(round((ts[-1] - t_start) / dt_ms)) + 1
         values = np.full(n_slots, np.nan)
-        filled = np.zeros(n_slots, dtype=bool)
-        for rec in recs:
-            slot = int(round((rec.timestamp_ms - t_start) / dt_ms))
-            if slot < 0 or slot >= n_slots or filled[slot]:
-                continue
-            if abs(rec.timestamp_ms - (t_start + slot * dt_ms)) > _SLOT_TOLERANCE * dt_ms:
-                continue  # irregular: leave the slot missing
-            if rec.value is None:
-                filled[slot] = True  # explicitly missing; keep NaN
-                continue
-            values[slot] = rec.value
-            filled[slot] = True
+        # the per-record rule in array form: slot = round((ts - t_start) / dt),
+        # half to even, and a record off its slot by more than the tolerance
+        # is irregular and leaves the slot missing. The np.full above bounds
+        # the stream's span, so the int64 difference cannot wrap.
+        slots = np.rint((stamps - t_start).astype(float) / dt_ms).astype(np.int64)
+        regular = (slots < n_slots) & ~(
+            np.abs(ts - (float(t_start) + slots * dt_ms)) > _SLOT_TOLERANCE * dt_ms
+        )
+        slots, first = np.unique(slots[regular], return_index=True)
+        values[slots] = vals[regular][first]
 
         width = policy.window_samples
-        channel = Channel(channel_value)
         start = 0
         while start + width <= n_slots:
             segment = values[start : start + width]

@@ -58,7 +58,8 @@ class TestSynth:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--dt", "0"), ("--dt", "nan"), ("--dt", "-0.04"), ("--seconds", "nan"), ("--seconds", "inf")],
+        [("--dt", "0"), ("--dt", "nan"), ("--dt", "-0.04"), ("--seconds", "nan"), ("--seconds", "inf"),
+         ("--seconds", "1e308"), ("--dt", "1e-320")],
     )
     def test_bad_dt_or_seconds_is_input_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "x.csv"
@@ -167,6 +168,18 @@ class TestDetect:
         assert manifest["parse_issues"] == ["line 101: not valid UTF-8"]
         assert len(manifest["windows"]) == 1
 
+    def test_timestamp_outside_int64_is_a_parse_issue(self, tmp_path):
+        archive = tmp_path / "n.csv"
+        run("synth", "--noise-sigma", "1.0", "--seconds", "25.04", "--seed", "5", "-o", archive)
+        lines = archive.read_text().splitlines(keepends=True)
+        lines.insert(2, "99999999999999999999999,synthetic,Frequency_Hz,0.0\n")
+        archive.write_text("".join(lines))
+        out = tmp_path / "out"
+        assert run("detect", archive, "--out-dir", out) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["parse_issues"] == ["line 3: bad timestamp '99999999999999999999999'"]
+        assert len(manifest["windows"]) == 1
+
     def test_byte_order_mark_archive_gives_same_alarms(self, growing_archive, tmp_path):
         bom_archive = tmp_path / "bom.csv"
         bom_archive.write_bytes(b"\xef\xbb\xbf" + growing_archive.read_bytes())
@@ -201,6 +214,25 @@ class TestSpectrum:
 
     def test_missing_archive(self, tmp_path):
         assert run("spectrum", tmp_path / "nope.csv", "--out-dir", tmp_path / "out") == 2
+
+    def test_config_band_filters_and_flag_wins(self, tmp_path):
+        archive = tmp_path / "a.csv"
+        run("synth", "--tone", "0.2,0.52", "--seconds", "25.04", "-o", archive)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"band": "0.5,1.0"}))
+
+        def freqs(out):
+            rows = list(out.glob("*_spectrum.csv"))[0].read_text().splitlines()[1:]
+            return [float(r.split(",")[0]) for r in rows]
+
+        assert run("spectrum", archive, "--out-dir", tmp_path / "cfg", "--config", config) == 0
+        from_config = freqs(tmp_path / "cfg")
+        assert from_config and all(0.5 <= f <= 1.0 for f in from_config)
+        assert run("spectrum", archive, "--out-dir", tmp_path / "flag", "--config", config,
+                   "--band", "0.1,2.0") == 0
+        from_flag = freqs(tmp_path / "flag")
+        assert min(from_flag) < 0.5 and max(from_flag) > 1.0
+        assert all(0.1 <= f <= 2.0 for f in from_flag)
 
 
 class TestConfigFile:
@@ -446,12 +478,15 @@ class TestBadConfig:
             ("detect", ["--band", "2,1"], None, "band must satisfy"),
             ("spectrum", ["--band", "2,1"], None, "band must satisfy"),
             ("spectrum", ["--band", "1,1"], None, "band must satisfy"),
+            ("spectrum", [], {"band": "2,1"}, "band must satisfy"),
+            ("spectrum", [], {"band": [1, 2, 3]}, "invalid setting"),
             ("detect", ["--stride-seconds", "30"], None, "stride must satisfy"),
             ("detect", [], {"jobs": 2}, "unknown key(s): jobs"),
             ("detect", [], {"order": "x"}, "'x'"),
             ("detect", [], {"windw_seconds": 10}, "unknown key(s): windw_seconds"),
         ],
-        ids=["inverted-band", "spectrum-inverted-band", "spectrum-zero-width-band", "stride-over-window",
+        ids=["inverted-band", "spectrum-inverted-band", "spectrum-zero-width-band", "spectrum-config-inverted-band",
+             "spectrum-config-three-band-edges", "stride-over-window",
              "jobs-config-key", "order-not-int", "unknown-key"],
     )
     def test_invalid_setting_is_input_error(self, tmp_path, capsys, command, flags, settings, message):

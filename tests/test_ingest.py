@@ -1,3 +1,7 @@
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +22,7 @@ from lfodetect import (
     read_archive,
     write_archive,
 )
+from lfodetect import ingest
 
 HEADER = "timestamp_ms,station_id,channel,value"
 
@@ -128,6 +133,44 @@ class TestReadArchive:
         (record,) = read_archive(p)
         assert record.station_id == "\ufeffs1"
 
+    @pytest.mark.parametrize(
+        "text",
+        ["99999999999999999999999", "9223372036854775808", "-9223372036854775809", " 18446744073709551616 "],
+    )
+    def test_timestamp_outside_int64_is_bad_timestamp(self, tmp_path, text):
+        p = tmp_path / "a.csv"
+        _write(p, [HEADER, "0,s1,Frequency_Hz,1.0", f"{text},s1,Frequency_Hz,0.0", "40,s1,Frequency_Hz,2.0"])
+        report = ParseReport()
+        records = list(read_archive(p, report))
+        assert [r.timestamp_ms for r in records] == [0, 40]
+        assert report.issues == [f"line 3: bad timestamp {text.strip()!r}"]
+
+    def test_int64_limits_are_timestamps(self, tmp_path):
+        p = tmp_path / "a.csv"
+        _write(p, [HEADER, "-9223372036854775808,s1,Frequency_Hz,1.0", "9223372036854775807,s1,Frequency_Hz,2.0"])
+        report = ParseReport()
+        assert [r.timestamp_ms for r in read_archive(p, report)] == [-(2**63), 2**63 - 1]
+        assert report.issues == []
+
+    def test_records_are_archive_records(self, tmp_path):
+        p = tmp_path / "a.csv"
+        _write(p, [HEADER, "0,s1,Frequency_Hz,1.0", "40,s1,Frequency_Hz,nan"])
+        records = list(read_archive(p))
+        assert [type(r) for r in records] == [ArchiveRecord, ArchiveRecord]
+        assert records[1] == ArchiveRecord(40, "s1", Channel.Frequency_Hz, None)
+        assert records[0].station_id is records[1].station_id  # one str per station
+
+
+class TestArchiveRecord:
+    def test_fields_equality_hash_and_immutability(self):
+        rec = ArchiveRecord(40, "s1", Channel.Frequency_Hz, 1.5)
+        assert ArchiveRecord._fields == ("timestamp_ms", "station_id", "channel", "value")
+        assert rec == ArchiveRecord(timestamp_ms=40, station_id="s1", channel=Channel.Frequency_Hz, value=1.5)
+        assert rec != ArchiveRecord(40, "s1", Channel.Frequency_Hz, None)
+        assert len({rec, ArchiveRecord(40, "s1", Channel.Frequency_Hz, 1.5)}) == 1
+        with pytest.raises(AttributeError):
+            rec.value = 2.0
+
 
 def _clean_records(n, dt_ms=40, station="s1", start=0):
     return [
@@ -232,3 +275,237 @@ class TestWindowingPolicy:
             WindowingPolicy(stride_seconds=30.0, window_seconds=25.0)
         with pytest.raises(ValueError):
             WindowingPolicy(max_gap_fraction=1.0)
+
+
+# --- the record-at-a-time ingest that the array code replaced ---------------
+
+
+def _reference_read(path, report):
+    """`read_archive`'s parse loop as it was before the per-record costs were
+    cut (a dataclass record per line, an Enum call per channel, a strip
+    generator), for a file with a valid header. The int64 range check is
+    the one intended difference."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
+        handle.readline()
+        for line_no, line in enumerate(handle, start=2):
+            if not line.isascii() and ingest._UNDECODABLE.search(line):
+                report.note(line_no, "not valid UTF-8")
+                continue
+            line = line.strip("\r\n")
+            if not line.strip():
+                continue
+            parts = line.split(",")
+            if len(parts) != 4:
+                report.note(line_no, f"expected 4 fields, got {len(parts)}")
+                continue
+            ts_text, station, channel_text, value_text = (p.strip() for p in parts)
+            try:
+                ts = int(ts_text)
+            except ValueError:
+                report.note(line_no, f"bad timestamp {ts_text!r}")
+                continue
+            if not -(2**63) <= ts < 2**63:  # the intended difference
+                report.note(line_no, f"bad timestamp {ts_text!r}")
+                continue
+            try:
+                channel = Channel(channel_text)
+            except ValueError:
+                report.note(line_no, f"unknown channel {channel_text!r}")
+                continue
+            try:
+                value = float(value_text)
+            except ValueError:
+                report.note(line_no, f"bad value {value_text!r}")
+                continue
+            if not math.isfinite(value):
+                report.note(line_no, f"non-finite value {value_text!r} marked missing")
+                report.missing_values += 1
+                value = None
+            yield ArchiveRecord(ts, station, channel, value)
+
+
+def _reference_make_windows(records, policy, diagnostics):
+    """`make_windows` as it was before the array rewrite: a key-function sort
+    and a slotting loop per record, first regular record wins a slot."""
+    streams = {}
+    for rec in records:
+        streams.setdefault((rec.station_id, rec.channel.value), []).append(rec)
+
+    dt_ms = policy.expected_dt * 1000.0
+    windows = []
+    for (station, channel_value) in sorted(streams):
+        recs = streams[(station, channel_value)]
+        recs.sort(key=lambda r: (r.timestamp_ms, r.value is None, r.value or 0.0))
+        ts = np.array([r.timestamp_ms for r in recs], dtype=float)
+        if ts.size < 2:
+            continue
+        spacing = float(np.median(np.diff(ts)))
+        if abs(spacing - dt_ms) > 0.1 * dt_ms:
+            raise DtMismatch(
+                f"stream {station}/{channel_value}: median spacing {spacing:.3f} ms "
+                f"deviates from expected {dt_ms:.3f} ms by more than 10%"
+            )
+        t_start = recs[0].timestamp_ms
+        n_slots = int(round((ts[-1] - t_start) / dt_ms)) + 1
+        values = np.full(n_slots, np.nan)
+        filled = np.zeros(n_slots, dtype=bool)
+        for rec in recs:
+            slot = int(round((rec.timestamp_ms - t_start) / dt_ms))
+            if slot < 0 or slot >= n_slots or filled[slot]:
+                continue
+            if abs(rec.timestamp_ms - (t_start + slot * dt_ms)) > ingest._SLOT_TOLERANCE * dt_ms:
+                continue
+            if rec.value is None:
+                filled[slot] = True
+                continue
+            values[slot] = rec.value
+            filled[slot] = True
+
+        width = policy.window_samples
+        channel = Channel(channel_value)
+        start = 0
+        while start + width <= n_slots:
+            segment = values[start : start + width]
+            missing = np.isnan(segment)
+            n_missing = int(missing.sum())
+            t0 = int(round(t_start + start * dt_ms))
+            if n_missing / width > policy.max_gap_fraction:
+                diagnostics.append(
+                    f"stream {station}/{channel_value}: window t0={t0} skipped, "
+                    f"{n_missing}/{width} samples missing"
+                )
+            else:
+                if n_missing:
+                    idx = np.arange(width)
+                    segment = np.interp(idx, idx[~missing], segment[~missing])
+                windows.append(ingest.SampleWindow(station, channel, t0, policy.expected_dt, segment))
+            start += policy.stride_samples
+    return windows
+
+
+def _windowing_outcome(make, records, policy):
+    """Everything `make` gives back, in a form that compares bit for bit."""
+    diagnostics = []
+    try:
+        windows = make(list(records), policy, diagnostics)
+    except DtMismatch as exc:
+        return "DtMismatch", str(exc), diagnostics
+    return [
+        (w.station_id, w.channel, type(w.t0_ms), w.t0_ms, w.dt, w.samples.dtype, w.samples.tobytes())
+        for w in windows
+    ], diagnostics
+
+
+#: Grid bases, from the epoch to the int64 limits (where float64 timestamps
+#: are 1024 ms apart and every stream is a DtMismatch).
+_BASES = (0, -1_000_000, 1_700_000_000_000, 2**53 - 4_000, 2**62, 2**63 - 2**20, -(2**63) + 2**20)
+
+
+@st.composite
+def _windowing_cases(draw):
+    """Records for several streams on one sample grid, with duplicate
+    timestamps, missing values, ±0.0 ties, offsets at and just past the slot
+    tolerance and at half a sample, streams of 0 to 2 records, in shuffled
+    order; and a small policy on that grid."""
+    dt = draw(st.sampled_from((0.04, 0.02, 0.1 / 3)))
+    dt_ms = dt * 1000.0
+    tol = ingest._SLOT_TOLERANCE * dt_ms
+    offsets = sorted({0, 1, -1, math.floor(tol), -math.floor(tol), math.floor(tol) + 1,
+                      -math.floor(tol) - 1, round(dt_ms / 2), -round(dt_ms / 2)})
+    offset = st.sampled_from([0] * 40 + offsets)
+    value = st.one_of(st.sampled_from([None] + [0.0, -0.0, 1.0, -2.5] * 2),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    base = draw(st.sampled_from(_BASES))
+    keys = draw(st.lists(st.tuples(st.sampled_from(["a", "b"]),
+                                   st.sampled_from([Channel.Frequency_Hz, Channel.VoltageMag_pu])),
+                         min_size=1, max_size=4, unique=True))
+    records = []
+    for station, channel in keys:
+        span = draw(st.integers(0, 60))
+        if draw(st.integers(0, 3)) == 0:  # a short stream: 0 to 2 records anywhere
+            slots = draw(st.lists(st.integers(0, span), max_size=2))
+        else:  # the whole grid, a few slots dropped, a few repeated
+            dropped = draw(st.sets(st.integers(0, span), max_size=3))
+            slots = [k for k in range(span + 1) if k not in dropped]
+            slots += draw(st.lists(st.integers(0, span), max_size=8))
+        for slot in slots:
+            ts = base + round(slot * dt_ms) + draw(offset)
+            records.append(ArchiveRecord(ts, station, channel, draw(value)))
+    window = draw(st.integers(3, 12))
+    policy = WindowingPolicy(window_seconds=window * dt, stride_seconds=draw(st.integers(1, window)) * dt,
+                             expected_dt=dt, max_gap_fraction=draw(st.sampled_from([0.0, 0.1, 0.3])))
+    return draw(st.permutations(records)), policy
+
+
+_CSV_FIELDS = (
+    st.one_of(st.integers(-(2**65), 2**65).map(str),
+              st.sampled_from(["", "x", "40.0", " 40 ", "\t80", "1_000", "٣",
+                               "9223372036854775807", "9223372036854775808",
+                               "-9223372036854775808", "-9223372036854775809"])),
+    st.sampled_from(["s1", " s1", "s1 ", "﻿s1", "Zürich", "", "s 2"]),
+    st.sampled_from([c.value for c in Channel] + [" Frequency_Hz ", "frequency_hz", "", "Bad"]),
+    st.one_of(st.floats().map(repr),
+              st.sampled_from(["nan", "NaN", "inf", "-inf", "-0.0", " 1.5", "1e400", "", "x", " "])),
+)
+_ARCHIVE_LINES = st.one_of(
+    st.tuples(*_CSV_FIELDS).map(lambda fields: ",".join(fields).encode()),
+    st.binary(max_size=24),
+    st.sampled_from([b"", b"  ", b"\xef\xbb\xbf", b"\xef\xbb\xbf0,s1,Frequency_Hz,1.0", b"\xff\xfe",
+                     b"0,s1,Frequency_Hz", b"0,s1,Frequency_Hz,1.0,2.0"]),
+)
+#: Archive bodies after a valid header: lines ending in LF, CRLF, CR or
+#: nothing (the last line, or two lines run together), mixed.
+_ARCHIVE_BODIES = st.lists(
+    st.tuples(_ARCHIVE_LINES, st.sampled_from([b"\n", b"\r\n", b"\r", b""])), max_size=30
+).map(lambda lines: b"".join(text + ending for text, ending in lines))
+
+
+class TestMatchesReference:
+    """The array-based ingest against the record-at-a-time code it replaced:
+    the same records, windows, diagnostics and errors, bit for bit."""
+
+    @settings(max_examples=300)
+    @given(_ARCHIVE_BODIES)
+    def test_read_archive_matches_reference_line_for_line(self, body):
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "fuzz.csv"
+            path.write_bytes(HEADER.encode() + b"\n" + body)
+            report, expected_report = ParseReport(), ParseReport()
+            records = list(read_archive(path, report))
+            expected = list(_reference_read(path, expected_report))
+        # repr tells -0.0 from 0.0 and None from NaN
+        assert repr(records) == repr(expected)
+        assert report.issues == expected_report.issues
+        assert report.missing_values == expected_report.missing_values
+
+    @settings(max_examples=300)
+    @given(_windowing_cases())
+    def test_make_windows_matches_reference(self, case):
+        records, policy = case
+        assert _windowing_outcome(make_windows, records, policy) == _windowing_outcome(
+            _reference_make_windows, records, policy
+        )
+
+    def test_bulk_archive_matches_reference(self, tmp_path):
+        """A two-stream archive with a NaN run, a gap, duplicate and
+        irregular timestamps, read both ways, in file order and shuffled."""
+        rng = np.random.default_rng(8)
+        lines = []
+        for m in range(2000):
+            for station in ("ST01", "ST02"):
+                ts = 1_700_000_000_000 + 40 * m + (3 if m % 97 == 5 else 0) + (9 if m % 211 == 7 else 0)
+                value = "nan" if 500 <= m < 504 and station == "ST02" else repr(float(rng.normal()))
+                if not 1200 <= m < 1210:
+                    lines.append(f"{ts},{station},Frequency_Hz,{value}")
+            if m % 50 == 0:
+                lines.append(f"{1_700_000_000_000 + 40 * m},ST01,Frequency_Hz,{rng.normal()!r}")
+        for name, order in (("file", lines), ("shuffled", list(rng.permutation(lines)))):
+            path = tmp_path / f"{name}.csv"
+            _write(path, [HEADER] + order)
+            report, expected_report = ParseReport(), ParseReport()
+            records = list(read_archive(path, report))
+            expected = list(_reference_read(path, expected_report))
+            assert records == expected and report.issues == expected_report.issues
+            outcome = _windowing_outcome(make_windows, records, WindowingPolicy())
+            assert outcome == _windowing_outcome(_reference_make_windows, expected, WindowingPolicy())
+            assert len(outcome[0]) > 0 and len(outcome[1]) > 0  # windows emitted and skipped
