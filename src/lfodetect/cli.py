@@ -247,7 +247,17 @@ def _window_prefix(w) -> str:
     return f"{w.station_id}_{w.channel.value}_{w.t0_ms}"
 
 
-def _manifest(command: str, policy, cfg, archive: Path, entries, diagnostics, report, extra) -> dict:
+def _analysis_record(cfg: AnalysisConfig) -> dict:
+    """The manifest's record of an analysis command's resolved settings."""
+    return {
+        "prony_order": cfg.prony_order,
+        "band_hz": list(cfg.emd_band_hz),
+        "match_tolerance_hz": cfg.match_tolerance_hz,
+        "min_mode_amplitude_fraction": cfg.min_mode_amplitude_fraction,
+    }
+
+
+def _manifest(command: str, policy, config: dict, archive: Path, entries, diagnostics, report, extra) -> dict:
     manifest = {
         "tool": {"name": "lfodetect", "version": __version__},
         "command": command,
@@ -258,12 +268,7 @@ def _manifest(command: str, policy, cfg, archive: Path, entries, diagnostics, re
             "expected_dt": policy.expected_dt,
             "max_gap_fraction": policy.max_gap_fraction,
         },
-        "config": {
-            "prony_order": cfg.prony_order,
-            "band_hz": list(cfg.emd_band_hz),
-            "match_tolerance_hz": cfg.match_tolerance_hz,
-            "min_mode_amplitude_fraction": cfg.min_mode_amplitude_fraction,
-        } if cfg is not None else None,
+        "config": config,
         "windows": entries,
         "skipped_windows": diagnostics,
         "parse_issues": report.issues,
@@ -274,9 +279,10 @@ def _manifest(command: str, policy, cfg, archive: Path, entries, diagnostics, re
     return manifest
 
 
-def _run(args, command: str, policy, cfg, analyse, finish=None) -> None:
+def _run(args, command: str, policy, config: dict, analyse, finish=None) -> None:
     """Analyse the archive's windows one at a time, in the (station, channel,
-    t0) order `make_windows` emits, then write the run manifest.
+    t0) order `make_windows` emits, then write the run manifest, which
+    records `config` as the command's resolved settings.
 
     `analyse(window, prefix)` writes the window's artifacts and returns its
     (outcome, artifact names); an exception from it ends the run as an
@@ -298,7 +304,7 @@ def _run(args, command: str, policy, cfg, analyse, finish=None) -> None:
                         "t0_ms": w.t0_ms, "samples": w.count,
                         "outcome": outcome, "artifacts": artifacts})
     extra = finish() if finish is not None else []
-    manifest = _manifest(command, policy, cfg, args.archive, entries, diagnostics, report, extra)
+    manifest = _manifest(command, policy, config, args.archive, entries, diagnostics, report, extra)
     _atomic_write(args.out_dir / "run_manifest.json", [json.dumps(manifest, indent=2), "\n"])
     if not windows:
         print("no windows")
@@ -378,7 +384,7 @@ def cmd_analyze(args) -> int:
             print(f"  amplitude={m.amplitude:.3g} damping={m.damping:.3g} frequency={m.frequency:.3g} Hz")
         return "analyzed", artifacts
 
-    _run(args, "analyze", policy, cfg, analyse)
+    _run(args, "analyze", policy, _analysis_record(cfg), analyse)
     return EXIT_OK
 
 
@@ -402,7 +408,7 @@ def cmd_detect(args) -> int:
         sys.stdout.writelines(lines)
         return ["alarms.jsonl"]
 
-    _run(args, "detect", policy, cfg, analyse, finish)
+    _run(args, "detect", policy, _analysis_record(cfg), analyse, finish)
     return EXIT_CRITICAL if any(a.severity is Severity.Critical for a in alarms) else EXIT_OK
 
 
@@ -420,7 +426,8 @@ def cmd_spectrum(args) -> int:
         _write_csv(args.out_dir / name, "frequency_hz,magnitude,phase_rad", [freqs, mags, phases])
         return "analyzed", [name]
 
-    _run(args, "spectrum", policy, None, analyse)
+    config = {"band_hz": list(band) if band is not None else None, "window_fn": window_fn.value}
+    _run(args, "spectrum", policy, config, analyse)
     return EXIT_OK
 
 

@@ -8,14 +8,16 @@ residue (trend) is always excluded.
 Sifting details:
   * envelopes are natural cubic splines through the persistent maxima
     (resp. minima), with the two nearest knots mirrored about each window
-    end to tame boundary effects. Each spline is one tridiagonal LAPACK
-    solve (`gtsv`) for the knot second derivatives, then the closed-form
-    cubic of each sample's segment; a singular system raises instead of
-    returning garbage. Adjacent extremum pairs whose mutual
-    swing is below 0.2 rms cancel first: the smallest swing goes first,
-    the leftmost pair wins a tie, and each cancellation may join the two
-    outer neighbours into a new pair. A heap over a linked list of the
-    survivors makes this O(n log n) in the number of extrema;
+    end to tame boundary effects. Each spline is one Thomas sweep (the
+    tridiagonal elimination without pivoting, which the strictly
+    diagonally dominant knot system does not need) for the knot second
+    derivatives, then the closed-form cubic of each sample's segment; a
+    zero pivot raises instead of returning garbage. Adjacent extremum
+    pairs whose mutual swing is below 0.2 rms cancel first: the smallest
+    swing goes first, the leftmost pair wins a tie, and each cancellation
+    may join the two outer neighbours into a new pair. A heap over a
+    linked list of the survivors makes this O(n log n) in the number of
+    extrema;
   * a candidate is accepted as an IMF when the envelope-mean energy ratio
     SD = sum(m^2) / sum(d_prev^2) drops below SIFT_SD_THRESHOLD and
     the extrema / zero-crossing counts balance to within one, or after
@@ -35,7 +37,6 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .core import AnalysisConfig, EmptyBand, SampleWindow, validate_window
 
@@ -56,9 +57,6 @@ SIFT_SD_THRESHOLD = 0.2
 #: An extracted component this small relative to the input is floating-point
 #: dust left over from envelope subtraction, not a real oscillation.
 _DUST_FRACTION = 1e-12
-
-_gtsv = get_lapack_funcs("gtsv", dtype=float)
-
 
 @dataclass(frozen=True, eq=False)
 class Imf:
@@ -148,26 +146,33 @@ def _natural_spline(t: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     arange(n). t must be strictly increasing, hold at least 3 knots and
     cover [0, n - 1].
 
-    The knot second derivatives M solve one tridiagonal system: the usual
-    continuity rows inside, M = 0 as identity rows at both ends (decoupled
-    from their neighbours, so the solve matches the interior system alone).
+    The knot second derivatives M solve one tridiagonal system: M = 0 at
+    both ends and the usual continuity rows inside. For increasing t the
+    interior rows are strictly diagonally dominant, so a Thomas sweep
+    (elimination without pivoting, in Python floats) solves them stably.
     Each sample then takes the closed-form cubic of its segment.
 
     Raises:
-        numpy.linalg.LinAlgError: the system is singular (t not increasing).
+        numpy.linalg.LinAlgError: a zero pivot (t not increasing).
     """
     h = t[1:] - t[:-1]
     slope = (v[1:] - v[:-1]) / h
-    diag = np.ones(t.size)
-    diag[1:-1] = 2.0 * (h[:-1] + h[1:])
-    off = np.zeros(t.size - 1)
-    off[1:-1] = h[1:-1]
-    rhs = np.zeros((t.size, 1))
-    rhs[1:-1, 0] = 6.0 * (slope[1:] - slope[:-1])
-    _, _, _, m, info = _gtsv(off, diag, off, rhs, overwrite_d=True, overwrite_b=True)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"singular spline system (gtsv info {info})")
-    m = m[:, 0]
+    diag = (2.0 * (h[:-1] + h[1:])).tolist()
+    off = h[1:-1].tolist()
+    rhs = (6.0 * (slope[1:] - slope[:-1])).tolist()
+    try:
+        pivot, r = diag[0], rhs[0]
+        for i, u in enumerate(off, 1):
+            fact = u / pivot
+            pivot = diag[i] = diag[i] - fact * u
+            r = rhs[i] = rhs[i] - fact * r
+        x = rhs[-1] = r / pivot
+        for i in range(len(off) - 1, -1, -1):
+            x = rhs[i] = (rhs[i] - off[i] * x) / diag[i]
+    except ZeroDivisionError:
+        raise np.linalg.LinAlgError("singular spline system (zero pivot)") from None
+    m = np.zeros(t.size)
+    m[1:-1] = rhs
     # segment j: S(x) = v_j + a * (b_j + a * (c_j + a * d_j)) with a = x - t_j
     b = slope - h * (2.0 * m[:-1] + m[1:]) / 6.0
     c = 0.5 * m[:-1]

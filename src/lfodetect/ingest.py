@@ -246,11 +246,13 @@ def make_windows(
         values[slots] = vals[regular][first]
 
         width = policy.window_samples
-        start = 0
-        while start + width <= n_slots:
+        starts = np.arange(0, n_slots - width + 1, policy.stride_samples)
+        # each window's missing count is one difference of the stream's
+        # running NaN count, not a rescan of its overlapping samples
+        missing_before = np.concatenate(([0], np.cumsum(np.isnan(values))))
+        counts = missing_before[starts + width] - missing_before[starts]
+        for start, n_missing in zip(starts.tolist(), counts.tolist()):
             segment = values[start : start + width]
-            missing = np.isnan(segment)
-            n_missing = int(missing.sum())
             t0 = int(round(t_start + start * dt_ms))
             if n_missing / width > policy.max_gap_fraction:
                 message = (
@@ -262,10 +264,10 @@ def make_windows(
                     diagnostics.append(message)
             else:
                 if n_missing:
+                    present = ~np.isnan(segment)
                     idx = np.arange(width)
-                    segment = np.interp(idx, idx[~missing], segment[~missing])
+                    segment = np.interp(idx, idx[present], segment[present])
                 windows.append(SampleWindow(station, channel, t0, policy.expected_dt, segment))
-            start += policy.stride_samples
     return windows
 
 

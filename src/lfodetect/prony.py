@@ -1,9 +1,13 @@
 """Damped-sinusoid decomposition of a sampled window.
 
 Four chained steps:
-  1. fit a linear prediction model of order N to the samples
-     (least squares over the Hankel-structured prediction equations, by
-     QR with column pivoting and numpy's default rank threshold);
+  1. fit a linear prediction model of order N to the samples: least
+     squares over the Hankel-structured prediction equations, by one
+     Householder QR of the design with the target as an extra column,
+     which reduces them to an N x N triangle. A triangle whose diagonal
+     clears numpy's default rank threshold is solved directly; a
+     rank-deficient one gets the minimum-norm solution by SVD at that
+     threshold;
   2. root the characteristic polynomial as the eigenvalues of its
      companion matrix (LAPACK via np.roots; a deviation from the
      Aberth-Ehrlich iteration of the original method, chosen because it
@@ -26,7 +30,6 @@ import logging
 import math
 
 import numpy as np
-import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
@@ -82,20 +85,23 @@ def fit_lpm(w: SampleWindow, order: int) -> np.ndarray:
     count = y.size
     if order > max_order(count):
         raise OrderTooHigh(f"{count} samples cannot support order {order} (need >= {3 * order})")
-    # row m holds y[m+N-1], ..., y[m]: the N samples that predict y[m+N]
-    design = sliding_window_view(y[:-1], order)[:, ::-1]
-    target = y[order:]
-    # pivoted QR; cond is the rank threshold numpy's lstsq uses with rcond=None
-    coeffs, _, rank, _ = scipy.linalg.lstsq(
-        design,
-        target,
-        cond=np.finfo(float).eps * max(design.shape),
-        lapack_driver="gelsy",
-        check_finite=False,
-    )
+    # row m holds y[m], ..., y[m+N-1] (the design, oldest sample first, so
+    # it solves for a_N..a_1) and then y[m+N] (the target). R of this
+    # augmented matrix holds R of the design and, in its last column,
+    # Q^T target: the least-squares problem shrinks to the N x N triangle.
+    r = np.linalg.qr(sliding_window_view(y, order + 1), mode="r")
+    triangle, rhs = r[:order, :order], r[:order, order]
+    # numpy lstsq's default rank threshold, relative to the largest pivot
+    rcond = np.finfo(float).eps * max(count - order, order)
+    pivots = np.abs(np.diagonal(triangle))
+    if np.all(pivots > rcond * pivots.max()):
+        return np.linalg.solve(triangle, rhs)[::-1]
+    # the triangle has the design's singular values, so its minimum-norm
+    # solution is the design's
+    coeffs, _, rank, _ = np.linalg.lstsq(triangle, rhs, rcond=rcond)
     if rank == 0:
         raise InsufficientExcitation("prediction system has rank zero (signal carries no energy)")
-    return coeffs
+    return coeffs[::-1]
 
 
 def _group_roots(roots, pair_tol: float = 1e-6) -> np.ndarray:

@@ -287,6 +287,27 @@ class TestManifest:
             "min_mode_amplitude_fraction": cfg.min_mode_amplitude_fraction,
         }
 
+    @pytest.mark.parametrize(
+        "settings, flags, config",
+        [
+            (None, [], {"band_hz": None, "window_fn": "rectangular"}),
+            (None, ["--band", "0.5,1.0", "--window-fn", "hann"], {"band_hz": [0.5, 1.0], "window_fn": "hann"}),
+            ({"band": "0.2,2.0"}, [], {"band_hz": [0.2, 2.0], "window_fn": "rectangular"}),
+            ({"band": "0.2,2.0"}, ["--band", "0.5,1.0"], {"band_hz": [0.5, 1.0], "window_fn": "rectangular"}),
+        ],
+        ids=["defaults", "flags", "config-band", "flag-overrides-config"],
+    )
+    def test_spectrum_records_band_and_window_fn(self, growing_archive, tmp_path, settings, flags, config):
+        if settings is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(settings))
+            flags = flags + ["--config", path]
+        out = tmp_path / "out"
+        assert run("spectrum", growing_archive, "--out-dir", out, *flags) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["config"] == config
+        assert manifest["windowing"] == dataclasses.asdict(WindowingPolicy())
+
 
 def _reference_csv(header, rows):
     return "".join([header + "\n"] + [",".join(format(v, ".17g") for v in row) + "\n" for row in rows])

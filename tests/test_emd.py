@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
+from scipy.linalg import get_lapack_funcs
 
 from lfodetect import (
     AnalysisConfig,
@@ -182,6 +183,68 @@ def _knot_sets(draw):
     return np.array(sorted(idx)), values, n
 
 
+_gtsv = get_lapack_funcs("gtsv", dtype=float)
+
+
+def _reference_natural_spline(t, v, n):
+    """The LAPACK `gtsv` solve `_natural_spline` replaced: the full system
+    with M = 0 as identity rows at both ends, then the same segment cubics."""
+    h = t[1:] - t[:-1]
+    slope = (v[1:] - v[:-1]) / h
+    diag = np.ones(t.size)
+    diag[1:-1] = 2.0 * (h[:-1] + h[1:])
+    off = np.zeros(t.size - 1)
+    off[1:-1] = h[1:-1]
+    rhs = np.zeros((t.size, 1))
+    rhs[1:-1, 0] = 6.0 * (slope[1:] - slope[:-1])
+    _, _, _, m, info = _gtsv(off, diag, off, rhs, overwrite_d=True, overwrite_b=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular spline system (gtsv info {info})")
+    m = m[:, 0]
+    b = slope - h * (2.0 * m[:-1] + m[1:]) / 6.0
+    c = 0.5 * m[:-1]
+    d = (m[1:] - m[:-1]) / (6.0 * h)
+    x = np.arange(n, dtype=float)
+    j = np.searchsorted(t, x, side="right") - 1
+    a = x - t[j]
+    return v[j] + a * (b[j] + a * (c[j] + a * d[j]))
+
+
+@st.composite
+def _spline_knots(draw):
+    """Strictly increasing knots, on integers (as envelopes place them) or
+    anywhere, covering [0, n - 1] with the last knot past n - 1, and their
+    values: Gaussian at scales 1e-6 to 1e6, or rounded to small integers so
+    that plateaus and signed zeros occur."""
+    n = draw(st.integers(1, 700))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(3, 250))
+    if draw(st.booleans()):
+        t = np.sort(rng.choice(np.arange(-n, 2 * n), size=min(count, 3 * n), replace=False)).astype(float)
+    else:
+        t = np.unique(rng.uniform(-n, 2.0 * n, size=count))
+    t[0] = min(t[0], 0.0)
+    t[-1] = max(t[-1], n - 0.5)
+    values = rng.standard_normal(t.size)
+    if draw(st.booleans()):
+        values = np.round(2.0 * values)
+    else:
+        values *= 10.0 ** draw(st.integers(-6, 6))
+    return t, values, n
+
+
+class TestNaturalSpline:
+    """The Thomas sweep performs the same operations as `gtsv` on these
+    diagonally dominant systems (no row ever needs a swap), so the two agree
+    bit for bit."""
+
+    @settings(max_examples=300)
+    @given(_spline_knots())
+    def test_matches_gtsv_bit_for_bit(self, case):
+        t, values, n = case
+        assert _natural_spline(t, values, n).tobytes() == _reference_natural_spline(t, values, n).tobytes()
+
+
 class TestEnvelopeSpline:
     """`_envelope` solves the natural spline itself; `CubicSpline` is the
     reference. Both round differently, so they agree to 1e-12 of the knot
@@ -212,12 +275,32 @@ class TestEnvelopeSpline:
             _natural_spline(np.array([0.0, 1.0, 0.0]), np.array([1.0, 2.0, 3.0]), 1)
 
 
-def test_import_leaves_scipy_interpolate_out():
+def _src_env():
     src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    code = "import sys, lfodetect, lfodetect.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, lfodetect, lfodetect.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_detect_runs_with_scipy_blocked(tmp_path):
+    # a None entry in sys.modules makes every `import scipy...` raise
+    archive, out = tmp_path / "grow.csv", tmp_path / "out"
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from lfodetect import cli\n"
+        "args = ['synth', '--tone', '0.1,0.52,0.05,0.3', '--snr-db', '40', '--seconds', '25.04', '-o', sys.argv[1]]\n"
+        "assert cli.main(args) == 0\n"
+        "sys.exit(cli.main(['detect', sys.argv[1], '--out-dir', sys.argv[2]]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(archive), str(out)], env=_src_env(), capture_output=True, text=True
+    )
+    assert result.returncode == 3, result.stderr
+    assert len((out / "alarms.jsonl").read_text().splitlines()) == 1
 
 
 def _local_extrema(x):
