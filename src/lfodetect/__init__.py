@@ -28,7 +28,7 @@ from .core import (
     wrap_angle,
 )
 from .detector import DetectionReport, classify, detect, match_modes
-from .emd import Imf, ImfSet, bandpass, decompose, mean_frequency
+from .emd import Imf, ImfSet, bandpass, decompose
 from .ingest import (
     ArchiveRecord,
     DtMismatch,
@@ -100,7 +100,6 @@ __all__ = [
     "generate",
     "make_windows",
     "match_modes",
-    "mean_frequency",
     "prony_analyze",
     "read_archive",
     "reconstruct",

@@ -13,6 +13,7 @@ Exit codes: 0 success / no critical alarm, 2 usage or input error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -262,12 +263,7 @@ def _manifest(command: str, policy, config: dict, archive: Path, entries, diagno
         "tool": {"name": "lfodetect", "version": __version__},
         "command": command,
         "inputs": [{"path": str(archive), "sha256": _sha256(archive)}],
-        "windowing": {
-            "window_seconds": policy.window_seconds,
-            "stride_seconds": policy.stride_seconds,
-            "expected_dt": policy.expected_dt,
-            "max_gap_fraction": policy.max_gap_fraction,
-        },
+        "windowing": dataclasses.asdict(policy),
         "config": config,
         "windows": entries,
         "skipped_windows": diagnostics,
@@ -333,9 +329,17 @@ def cmd_synth(args) -> int:
         noise_sigma=args.noise_sigma,
         rng_seed=args.seed,
     )
-    window = signalgen.generate(
-        spec, station_id=args.station, channel=Channel(args.channel), t0_ms=args.t0_ms
-    )
+    try:
+        window = signalgen.generate(
+            spec, station_id=args.station, channel=Channel(args.channel), t0_ms=args.t0_ms
+        )
+    except signalgen.InvalidSpec:
+        raise
+    except (MemoryError, ValueError) as exc:
+        # numpy refuses the sample array: out of memory, or past its size limit
+        raise InvalidSetting(
+            f"invalid setting: --seconds / --dt gives {ratio:.3g} samples, too many to hold in memory"
+        ) from exc
     args.output.parent.mkdir(parents=True, exist_ok=True)
     write_archive(args.output, [window])
     print(f"wrote {count} samples to {args.output}")

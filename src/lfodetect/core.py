@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -277,6 +278,14 @@ class AlarmEvent:
         }
 
 
+def mode_matrix(params, count: int, dt: float) -> np.ndarray:
+    """(count, modes) matrix whose column k is the k-th (amplitude, damping,
+    frequency, phase) mode of `params` sampled at t = 0, dt, ..."""
+    amplitude, damping, frequency, phase = np.array(params, dtype=float).reshape(-1, 4).T
+    t = np.arange(count)[:, None] * dt
+    return amplitude * np.exp(damping * t) * np.cos(TWO_PI * frequency * t + phase)
+
+
 def max_order(count: int) -> int:
     """Highest model order `count` samples support (three samples per order)."""
     return count // 3
@@ -299,7 +308,9 @@ class AnalysisConfig:
     emd_band_hz: tuple[float, float] = (0.1, 2.0)
     match_tolerance_hz: float | None = None
     min_mode_amplitude_fraction: float = 0.02
-    slow_decay_threshold: float = 0.05
+    #: Fixed, not a field: an alarm mode decaying slower than this (1/s)
+    #: still rates Warning.
+    slow_decay_threshold: ClassVar[float] = 0.05
 
     def __post_init__(self):
         lo, hi = self.emd_band_hz
@@ -312,8 +323,6 @@ class AnalysisConfig:
             raise ValueError("match_tolerance_hz must be positive")
         if not (0 <= self.min_mode_amplitude_fraction < 1):
             raise ValueError("min_mode_amplitude_fraction must lie in [0, 1)")
-        if self.slow_decay_threshold < 0:
-            raise ValueError("slow_decay_threshold must be >= 0")
 
     def resolve_order(self, count: int) -> int:
         if self.prony_order is not None:

@@ -124,6 +124,10 @@ def _count_zero_crossings(x: np.ndarray, hysteresis: float = 0.0) -> int:
 _CROSSING_HYSTERESIS = 0.2
 
 
+def _scale_floor(x: np.ndarray) -> float:
+    return _CROSSING_HYSTERESIS * float(np.sqrt(np.mean(x**2)))
+
+
 def mean_frequency(samples, dt: float) -> float:
     """Zero-crossing frequency estimate: crossings / (2 * duration).
 
@@ -137,8 +141,7 @@ def mean_frequency(samples, dt: float) -> float:
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     duration = (x.size - 1) * dt
-    band = _CROSSING_HYSTERESIS * float(np.sqrt(np.mean(x**2)))
-    return _count_zero_crossings(x, band) / (2.0 * duration)
+    return _count_zero_crossings(x, _scale_floor(x)) / (2.0 * duration)
 
 
 def _natural_spline(t: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -239,10 +242,6 @@ def _persistent_extrema(x: np.ndarray, swing: float) -> tuple[np.ndarray, np.nda
     return idx[keep], is_max[keep]
 
 
-def _scale_floor(x: np.ndarray) -> float:
-    return _CROSSING_HYSTERESIS * float(np.sqrt(np.mean(x**2)))
-
-
 def _skeleton(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Persistent extrema of x at its own 0.2 rms swing floor."""
     return _persistent_extrema(x, _scale_floor(x))
@@ -250,10 +249,7 @@ def _skeleton(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _balance(x: np.ndarray, idx: np.ndarray) -> int:
     """Extrema count minus zero-crossing count of the skeleton idx of x."""
-    signs = np.sign(x[idx])
-    signs = signs[signs != 0]
-    crossings = int(np.count_nonzero(signs[:-1] != signs[1:])) if signs.size > 1 else 0
-    return int(idx.size) - crossings
+    return int(idx.size) - _count_zero_crossings(x[idx])
 
 
 def imf_balance(samples) -> int:

@@ -39,6 +39,7 @@ from .core import (
     PronyMode,
     SampleWindow,
     max_order,
+    mode_matrix,
     validate_window,
     wrap_angle,
 )
@@ -114,10 +115,13 @@ def _group_roots(roots, pair_tol: float = 1e-6) -> np.ndarray:
     any arrangement of the same multiset yields the same sequence.
 
     Raises:
-        ValueError: a complex root has no conjugate partner within
+        ValueError: a zero root (it has no logarithm, hence no mode), or a
+            complex root without a conjugate partner within
             pair_tol * (1 + |z|).
     """
     rts = np.asarray(roots, dtype=complex).ravel()
+    if np.any(rts == 0):
+        raise ValueError("zero roots have no mode; drop them first")
     scale = 1.0 + np.abs(rts)
     real = np.abs(rts.imag) <= 1e-8 * scale
     upper = np.sort_complex(rts[~real & (rts.imag > 0)])
@@ -158,19 +162,15 @@ def roots_to_modes(roots, dt: float) -> list[tuple[float, float]]:
     """(damping, frequency) per root group: damping = Re(log z)/dt and
     frequency = |Im(log z)| / (2*pi*dt).
 
-    The root list must be conjugate-closed (ValueError otherwise).
-    Conjugate pairs collapse to one entry with frequency >= 0; real positive
-    roots map to frequency 0; real negative roots land on the Nyquist
-    frequency. Zero roots have no logarithm and are dropped with a warning.
-    Entries align one-to-one with solve_amplitudes output for the same
-    root list.
+    The root list must be conjugate-closed and free of zero roots
+    (ValueError otherwise). Conjugate pairs collapse to one entry with
+    frequency >= 0; real positive roots map to frequency 0; real negative
+    roots land on the Nyquist frequency. Entries align one-to-one with
+    solve_amplitudes output for the same root list.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    reps = _group_roots(roots)
-    if np.any(reps == 0):
-        logger.warning("dropping zero characteristic root: no finite continuous-time mode")
-    ln = np.log(reps[reps != 0])
+    ln = np.log(_group_roots(roots))
     return list(zip((ln.real / dt).tolist(), (np.abs(ln.imag) / (TWO_PI * dt)).tolist()))
 
 
@@ -194,8 +194,6 @@ def solve_amplitudes(w: SampleWindow, roots) -> list[tuple[float, float]]:
     """
     validate_window(w)
     reps = _group_roots(roots)
-    if np.any(reps == 0):
-        raise ValueError("zero roots have no mode; drop them before solving amplitudes")
     if not reps.size:
         return []
     n_real = int(np.count_nonzero(reps.imag == 0))
@@ -215,18 +213,10 @@ def solve_amplitudes(w: SampleWindow, roots) -> list[tuple[float, float]]:
     ]
 
 
-def _mode_matrix(params, count: int, dt: float) -> np.ndarray:
-    """(count, modes) matrix whose column k is the k-th (amplitude, damping,
-    frequency, phase) mode of `params` sampled at t = 0, dt, ..."""
-    amplitude, damping, frequency, phase = np.array(params, dtype=float).reshape(-1, 4).T
-    t = np.arange(count)[:, None] * dt
-    return amplitude * np.exp(damping * t) * np.cos(TWO_PI * frequency * t + phase)
-
-
 def reconstruct(fit: PronyFit, count: int, dt: float) -> np.ndarray:
     """Evaluate the fitted mode sum on a fresh time grid of `count` samples."""
     params = [(m.amplitude, m.damping, m.frequency, m.phase) for m in fit.modes]
-    return _mode_matrix(params, count, dt).sum(axis=1)
+    return mode_matrix(params, count, dt).sum(axis=1)
 
 
 def prony_analyze(w: SampleWindow, cfg: AnalysisConfig | None = None) -> PronyFit:
@@ -254,8 +244,8 @@ def prony_analyze(w: SampleWindow, cfg: AnalysisConfig | None = None) -> PronyFi
     if not np.all(keep):
         logger.debug("discarding %d zero or damping-artifact root(s)", int(np.sum(~keep)))
     flat = all_roots[keep]
-    sigma_freq = roots_to_modes(flat, w.dt) if flat.size else []
-    amp_phase = solve_amplitudes(w, flat) if flat.size else []
+    sigma_freq = roots_to_modes(flat, w.dt)
+    amp_phase = solve_amplitudes(w, flat)
 
     raw = [
         (amp, sigma, freq, phase)
@@ -265,7 +255,7 @@ def prony_analyze(w: SampleWindow, cfg: AnalysisConfig | None = None) -> PronyFi
         floor = cfg.min_mode_amplitude_fraction * max(amp for amp, *_ in raw)
         raw = [m for m in raw if m[0] >= floor]
 
-    signals = _mode_matrix(raw, y.size, w.dt)
+    signals = mode_matrix(raw, y.size, w.dt)
     energies = np.sum(signals**2, axis=0).tolist()
     total_energy = sum(energies)
     modes = [

@@ -6,8 +6,8 @@ closed-form signal. Generation uses the cosine parameterization
 
     y(t) = sum_n  A_n * exp(sigma_n * t) * cos(2*pi*f_n*t + theta_n)
 
-shared with the mode estimator; a sine tone is a cosine tone with its phase
-shifted by -pi/2.
+evaluated by core.mode_matrix, the routine the mode estimator reconstructs
+with; a sine tone is a cosine tone with its phase shifted by -pi/2.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Channel, SampleWindow
+from .core import Channel, SampleWindow, mode_matrix
 
 
 class InvalidSpec(ValueError):
@@ -68,17 +68,6 @@ class SynthSpec:
             raise InvalidSpec(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
-def _clean_signal(tones, t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    for tone in tones:
-        out += (
-            tone.amplitude
-            * np.exp(tone.damping * t)
-            * np.cos(2.0 * np.pi * tone.frequency * t + tone.phase)
-        )
-    return out
-
-
 def generate(
     spec: SynthSpec,
     *,
@@ -94,8 +83,12 @@ def generate(
     Raises:
         InvalidSpec: noise_snr_db given but the tone sum carries no power.
     """
-    t = np.arange(spec.count) * spec.dt
-    samples = _clean_signal(spec.tones, t)
+    params = [(tone.amplitude, tone.damping, tone.frequency, tone.phase) for tone in spec.tones]
+    samples = np.zeros(spec.count)
+    # column by column, left to right: a sum over the row would reorder
+    # the additions and change the last bit
+    for column in mode_matrix(params, spec.count, spec.dt).T:
+        samples += column
 
     sigma = None
     if spec.noise_snr_db is not None:

@@ -59,7 +59,9 @@ class TestSynth:
     @pytest.mark.parametrize(
         "flag, value",
         [("--dt", "0"), ("--dt", "nan"), ("--dt", "-0.04"), ("--seconds", "nan"), ("--seconds", "inf"),
-         ("--seconds", "1e308"), ("--dt", "1e-320")],
+         ("--seconds", "1e308"), ("--dt", "1e-320"),
+         # finite sample counts past what numpy can allocate
+         ("--seconds", "1e15"), ("--seconds", "1e17"), ("--seconds", "1e300")],
     )
     def test_bad_dt_or_seconds_is_input_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "x.csv"

@@ -137,8 +137,11 @@ class TestAnalysisConfig:
             "emd_band_hz",
             "match_tolerance_hz",
             "min_mode_amplitude_fraction",
-            "slow_decay_threshold",
         ]
+        # a fixed gate, read from the class but not settable
+        assert AnalysisConfig().slow_decay_threshold == 0.05
+        with pytest.raises(TypeError):
+            AnalysisConfig(slow_decay_threshold=0.1)
 
     def test_bad_band(self):
         with pytest.raises(ValueError):

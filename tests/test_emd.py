@@ -18,10 +18,9 @@ from lfodetect import (
     bandpass,
     decompose,
     generate,
-    mean_frequency,
 )
 from lfodetect import emd
-from lfodetect.emd import _envelope, _natural_spline, _persistent_extrema, imf_balance
+from lfodetect.emd import _envelope, _natural_spline, _persistent_extrema, imf_balance, mean_frequency
 
 
 def _corr(a, b):

@@ -218,14 +218,15 @@ class TestRootsToModes:
         assert freq == pytest.approx(12.5, abs=1e-9)
         assert sigma == pytest.approx(0.0, abs=1e-9)
 
-    def test_zero_root_dropped(self):
-        modes = roots_to_modes([0.0 + 0j, 0.9 + 0j], 0.04)
-        assert len(modes) == 1
-
     @pytest.mark.parametrize(
         "roots, dt",
-        [([0.9 + 0j], 0.0), ([0.9 + 0j], -0.04), ([cmath.exp(0.3j)], 0.04)],
-        ids=["zero-dt", "negative-dt", "unpaired-complex-root"],
+        [
+            ([0.9 + 0j], 0.0),
+            ([0.9 + 0j], -0.04),
+            ([cmath.exp(0.3j)], 0.04),
+            ([0.0 + 0j, 0.9 + 0j], 0.04),
+        ],
+        ids=["zero-dt", "negative-dt", "unpaired-complex-root", "zero-root"],
     )
     def test_rejects_invalid_input(self, roots, dt):
         with pytest.raises(ValueError):
@@ -500,9 +501,16 @@ class TestDiagnostics:
             solve_amplitudes(w, [lam1 + 0j, lam2 + 0j])
         assert any("ill-conditioned" in rec.message for rec in caplog.records)
 
-    def test_zero_root_warning_logged(self, caplog):
-        import logging
-
+    def test_zero_root_warning_logged(self, monkeypatch, caplog):
+        # a trailing zero coefficient gives an exact zero root, which
+        # prony_analyze must drop (with a warning) before the root steps
+        tone = ToneSpec(1.0, 0.7, phase=0.3, damping=-0.1)
+        w = generate(SynthSpec(tones=(tone,), dt=0.04, count=200))
+        monkeypatch.setattr(prony_mod, "fit_lpm", lambda w, order: np.append(fit_lpm(w, order - 1), 0.0))
         with caplog.at_level(logging.WARNING, logger="lfodetect.prony"):
-            roots_to_modes([0.0 + 0j, 0.5 + 0j], 0.04)
+            fit = prony_analyze(w, AnalysisConfig(prony_order=3))
         assert any("zero" in rec.message.lower() for rec in caplog.records)
+        assert np.count_nonzero(fit.roots == 0) == 1
+        (mode,) = fit.modes
+        assert mode.frequency == pytest.approx(0.7, abs=1e-9)
+        assert mode.damping == pytest.approx(-0.1, abs=1e-9)
