@@ -196,8 +196,24 @@ def _given(args, config: dict) -> dict:
     return {**config, **{name: value for name, value in flags.items() if value is not None}}
 
 
+def _number(name: str, value) -> float:
+    """A setting as a float. A JSON true or false is not a number, although
+    float() would take it as 1 or 0."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _whole_number(name: str, value) -> int:
+    """A setting as an int; a fraction or a boolean is refused, not
+    truncated or taken as 1 or 0."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {json.dumps(value)}")
+    return int(value)
+
+
 def _resolve_policy(given: dict) -> WindowingPolicy:
-    return WindowingPolicy(**{name: float(given[name]) for name in _POLICY_KEYS if name in given})
+    return WindowingPolicy(**{name: _number(name, given[name]) for name in _POLICY_KEYS if name in given})
 
 
 def _resolve_band(given: dict) -> tuple[float, float] | None:
@@ -205,7 +221,7 @@ def _resolve_band(given: dict) -> tuple[float, float] | None:
         return None
     band = given["band"]
     lo, hi = _parse_band(band) if isinstance(band, str) else band
-    return float(lo), float(hi)
+    return _number("band", lo), _number("band", hi)
 
 
 def _resolve_analysis(given: dict) -> AnalysisConfig:
@@ -214,11 +230,11 @@ def _resolve_analysis(given: dict) -> AnalysisConfig:
     if band is not None:
         fields["emd_band_hz"] = band
     if given.get("order") not in (None, "auto"):
-        fields["prony_order"] = int(given["order"])
+        fields["prony_order"] = _whole_number("order", given["order"])
     if given.get("match_tolerance") not in (None, "auto"):
-        fields["match_tolerance_hz"] = float(given["match_tolerance"])
+        fields["match_tolerance_hz"] = _number("match_tolerance", given["match_tolerance"])
     if "min_amplitude_fraction" in given:
-        fields["min_mode_amplitude_fraction"] = float(given["min_amplitude_fraction"])
+        fields["min_mode_amplitude_fraction"] = _number("min_amplitude_fraction", given["min_amplitude_fraction"])
     return AnalysisConfig(**fields)
 
 

@@ -94,6 +94,28 @@ def _readonly(values) -> np.ndarray:
     return arr
 
 
+class _Shared:
+    """Samples a window may hold without a copy: a read-only float view of
+    a buffer that the package froze and never writes to again, as
+    `ingest.make_windows` cuts from each stream."""
+
+    __slots__ = ("view",)
+
+    def __init__(self, view: np.ndarray):
+        if view.flags.writeable or view.dtype != np.float64:
+            raise ValueError("only a frozen float64 buffer can be shared")
+        self.view = view
+
+
+def _window_samples(values) -> np.ndarray:
+    """What a `SampleWindow` stores: a `_Shared` view as it is, any other
+    array as a read-only float copy. A caller's array is copied even when
+    it is frozen, since its owner can make it writable again."""
+    if isinstance(values, _Shared):
+        return values.view
+    return _readonly(values)
+
+
 @dataclass(frozen=True, eq=False)
 class SampleWindow:
     """A uniformly sampled scalar channel segment.
@@ -104,7 +126,12 @@ class SampleWindow:
         t0_ms: UTC timestamp of the first sample, in milliseconds.
         dt: sample interval in seconds (stored, never inferred from
             timestamps, so ingestion decides resampling exactly once).
-        samples: sample values, stored as a read-only float array.
+        samples: sample values, a read-only float array. A window built
+            from a caller's array holds a copy of it, so changing that
+            array later never changes the window. Windows that
+            `make_windows` cuts from one stream are read-only views of one
+            frozen buffer per stream, so overlapping windows share memory
+            instead of each holding its own copy.
     """
 
     station_id: str
@@ -114,7 +141,7 @@ class SampleWindow:
     samples: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", _readonly(self.samples))
+        object.__setattr__(self, "samples", _window_samples(self.samples))
 
     @property
     def count(self) -> int:
@@ -319,8 +346,8 @@ class AnalysisConfig:
         object.__setattr__(self, "emd_band_hz", (float(lo), float(hi)))
         if self.prony_order is not None and self.prony_order < 1:
             raise ValueError("prony_order must be positive")
-        if self.match_tolerance_hz is not None and self.match_tolerance_hz <= 0:
-            raise ValueError("match_tolerance_hz must be positive")
+        if self.match_tolerance_hz is not None and not 0 < self.match_tolerance_hz < math.inf:
+            raise ValueError(f"match_tolerance_hz must be positive and finite, got {self.match_tolerance_hz}")
         if not (0 <= self.min_mode_amplitude_fraction < 1):
             raise ValueError("min_mode_amplitude_fraction must lie in [0, 1)")
 

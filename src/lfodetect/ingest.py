@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .core import Channel, SampleWindow
+from .core import Channel, SampleWindow, _Shared
 
 logger = logging.getLogger(__name__)
 
@@ -80,6 +80,9 @@ class WindowingPolicy:
     max_gap_fraction: float = 0.01
 
     def __post_init__(self):
+        for name in ("window_seconds", "stride_seconds", "expected_dt"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.expected_dt <= 0:
             raise ValueError(f"expected_dt must be positive, got {self.expected_dt}")
         if not (0 < self.stride_seconds <= self.window_seconds):
@@ -135,6 +138,7 @@ def read_archive(path, report: ParseReport | None = None) -> Iterator[ArchiveRec
     def records() -> Iterator[ArchiveRecord]:
         channels, isfinite, new = _CHANNELS, math.isfinite, tuple.__new__
         stations: dict[str, str] = {}  # one str object per station, not per record
+        last_ts_text, last_ts = None, None  # the last good timestamp
         with handle:
             for line_no, line in enumerate(handle, start=2):
                 if not line.isascii() and _UNDECODABLE.search(line):
@@ -149,14 +153,18 @@ def read_archive(path, report: ParseReport | None = None) -> Iterator[ArchiveRec
                         report.note(line_no, f"expected 4 fields, got {line.count(',') + 1}")
                     continue
                 ts_text = ts_text.strip()
-                try:
-                    ts = int(ts_text)
-                except ValueError:
-                    ts = None
-                if ts is None or not _TIMESTAMP_MIN <= ts <= _TIMESTAMP_MAX:
-                    if report is not None:
-                        report.note(line_no, f"bad timestamp {ts_text!r}")
-                    continue
+                if ts_text == last_ts_text:
+                    ts = last_ts  # interleaved stations: one int object per timestamp
+                else:
+                    try:
+                        ts = int(ts_text)
+                    except ValueError:
+                        ts = None
+                    if ts is None or not _TIMESTAMP_MIN <= ts <= _TIMESTAMP_MAX:
+                        if report is not None:
+                            report.note(line_no, f"bad timestamp {ts_text!r}")
+                        continue
+                    last_ts_text, last_ts = ts_text, ts
                 channel_text = channel_text.strip()
                 channel = channels.get(channel_text)
                 if channel is None:
@@ -195,6 +203,8 @@ def make_windows(
     Missing or irregular slots up to max_gap_fraction of a window are
     linearly interpolated; beyond that the window is skipped with a
     diagnostic. Emitted windows are ordered by (station, channel, t0).
+    Each stream's slot array is frozen, and its windows are read-only
+    views of it, except interpolated ones, which own their samples.
     Timestamps must fit in int64, as `read_archive` ensures.
 
     Raises:
@@ -210,65 +220,100 @@ def make_windows(
             stream = streams[key] = []
         stream.append(rec)
 
-    dt_ms = policy.expected_dt * 1000.0
     windows: list[SampleWindow] = []
-    for station, channel in sorted(streams, key=lambda k: (k[0], k[1].value)):
-        channel_value = channel.value
-        recs = streams[(station, channel)]
-        if len(recs) < 2:
-            continue
-        stamps = np.array([r.timestamp_ms for r in recs], dtype=np.int64)
-        vals = np.array([r.value for r in recs], dtype=float)  # None becomes NaN
-        absent = np.isnan(vals)
-        # deterministic under input permutation: a stable sort by (timestamp,
-        # missing last, value), then the first regular record wins a slot
-        order = np.lexsort((np.where(absent, 0.0, vals), absent, stamps))
-        stamps, absent, vals = stamps[order], absent[order], vals[order]
-        ts = stamps.astype(float)
-        spacing = float(np.median(np.diff(ts)))
-        if abs(spacing - dt_ms) > 0.1 * dt_ms:
-            raise DtMismatch(
-                f"stream {station}/{channel_value}: median spacing {spacing:.3f} ms "
-                f"deviates from expected {dt_ms:.3f} ms by more than 10%"
-            )
-        t_start = int(stamps[0])
-        n_slots = int(round((ts[-1] - t_start) / dt_ms)) + 1
-        values = np.full(n_slots, np.nan)
-        # the per-record rule in array form: slot = round((ts - t_start) / dt),
-        # half to even, and a record off its slot by more than the tolerance
-        # is irregular and leaves the slot missing. The np.full above bounds
-        # the stream's span, so the int64 difference cannot wrap.
-        slots = np.rint((stamps - t_start).astype(float) / dt_ms).astype(np.int64)
-        regular = (slots < n_slots) & ~(
-            np.abs(ts - (float(t_start) + slots * dt_ms)) > _SLOT_TOLERANCE * dt_ms
-        )
-        slots, first = np.unique(slots[regular], return_index=True)
-        values[slots] = vals[regular][first]
-
-        width = policy.window_samples
-        starts = np.arange(0, n_slots - width + 1, policy.stride_samples)
-        # each window's missing count is one difference of the stream's
-        # running NaN count, not a rescan of its overlapping samples
-        missing_before = np.concatenate(([0], np.cumsum(np.isnan(values))))
-        counts = missing_before[starts + width] - missing_before[starts]
-        for start, n_missing in zip(starts.tolist(), counts.tolist()):
-            segment = values[start : start + width]
-            t0 = int(round(t_start + start * dt_ms))
-            if n_missing / width > policy.max_gap_fraction:
-                message = (
-                    f"stream {station}/{channel_value}: window t0={t0} skipped, "
-                    f"{n_missing}/{width} samples missing"
-                )
-                logger.warning(message)
-                if diagnostics is not None:
-                    diagnostics.append(message)
-            else:
-                if n_missing:
-                    present = ~np.isnan(segment)
-                    idx = np.arange(width)
-                    segment = np.interp(idx, idx[present], segment[present])
-                windows.append(SampleWindow(station, channel, t0, policy.expected_dt, segment))
+    for key in sorted(streams, key=lambda k: (k[0], k[1].value)):
+        # popped, so each stream's records go before the next stream's arrays
+        windows += _stream_windows(*key, streams.pop(key), policy, diagnostics)
     return windows
+
+
+def _stream_windows(
+    station: str,
+    channel: Channel,
+    recs: list[ArchiveRecord],
+    policy: WindowingPolicy,
+    diagnostics: list[str] | None,
+) -> list[SampleWindow]:
+    """The windows of one stream, as `make_windows` describes them."""
+    if len(recs) < 2:
+        return []
+    dt_ms = policy.expected_dt * 1000.0
+    t_start, values = _slot_values(station, channel, recs, dt_ms)
+    values.flags.writeable = False
+
+    width = policy.window_samples
+    starts = np.arange(0, values.size - width + 1, policy.stride_samples)
+    # each window's missing count is one difference of the stream's
+    # running NaN count, not a rescan of its overlapping samples
+    missing_before = np.concatenate(([0], np.cumsum(np.isnan(values))))
+    counts = missing_before[starts + width] - missing_before[starts]
+    windows = []
+    for start, n_missing in zip(starts.tolist(), counts.tolist()):
+        segment = values[start : start + width]
+        t0 = int(round(t_start + start * dt_ms))
+        if n_missing / width > policy.max_gap_fraction:
+            message = (
+                f"stream {station}/{channel.value}: window t0={t0} skipped, "
+                f"{n_missing}/{width} samples missing"
+            )
+            logger.warning(message)
+            if diagnostics is not None:
+                diagnostics.append(message)
+            continue
+        if n_missing:
+            present = ~np.isnan(segment)
+            idx = np.arange(width)
+            segment = np.interp(idx, idx[present], segment[present])
+            segment.flags.writeable = False
+        windows.append(SampleWindow(station, channel, t0, policy.expected_dt, _Shared(segment)))
+    return windows
+
+
+def _slot_values(
+    station: str, channel: Channel, recs: list[ArchiveRecord], dt_ms: float
+) -> tuple[int, np.ndarray]:
+    """(first timestamp, value per grid slot) of a stream of two or more
+    records, NaN where a slot is missing. The sort and slot temporaries
+    live only here, so they are freed before the windows are cut.
+
+    Raises:
+        DtMismatch: the median spacing deviates from dt_ms by more than 10%.
+    """
+    stamps = np.array([r.timestamp_ms for r in recs], dtype=np.int64)
+    vals = np.array([r.value for r in recs], dtype=float)  # None becomes NaN
+    absent = np.isnan(vals)
+    # deterministic under input permutation: a stable sort by (timestamp,
+    # missing last, value), then the first regular record wins a slot
+    order = np.lexsort((np.where(absent, 0.0, vals), absent, stamps))
+    stamps, vals = stamps[order], vals[order]
+    del order, absent  # each temporary goes once used, to keep the peak low
+    ts = stamps.astype(float)
+    spacing = float(np.median(np.diff(ts)))
+    if abs(spacing - dt_ms) > 0.1 * dt_ms:
+        raise DtMismatch(
+            f"stream {station}/{channel.value}: median spacing {spacing:.3f} ms "
+            f"deviates from expected {dt_ms:.3f} ms by more than 10%"
+        )
+    t_start = int(stamps[0])
+    n_slots = int(round((ts[-1] - t_start) / dt_ms)) + 1
+    values = np.full(n_slots, np.nan)
+    # the per-record rule in array form: slot = round((ts - t_start) / dt),
+    # half to even, and a record off its slot by more than the tolerance
+    # is irregular and leaves the slot missing. The np.full above bounds
+    # the stream's span, so the int64 difference cannot wrap.
+    slots = np.rint((stamps - t_start).astype(float) / dt_ms).astype(np.int64)
+    del stamps
+    regular = (slots < n_slots) & ~(
+        np.abs(ts - (float(t_start) + slots * dt_ms)) > _SLOT_TOLERANCE * dt_ms
+    )
+    del ts
+    slots, vals = slots[regular], vals[regular]
+    # the records are in timestamp order, so their slots never decrease and
+    # the first of each run of equal slots is the first record in sort order
+    first = np.ones(slots.size, dtype=bool)
+    np.not_equal(slots[1:], slots[:-1], out=first[1:])
+    values[slots[first]] = vals[first]
+    return t_start, values
 
 
 def _atomic_write(path: Path, chunks: Iterable[str]) -> None:

@@ -507,10 +507,28 @@ class TestBadConfig:
             ("detect", [], {"jobs": 2}, "unknown key(s): jobs"),
             ("detect", [], {"order": "x"}, "'x'"),
             ("detect", [], {"windw_seconds": 10}, "unknown key(s): windw_seconds"),
+            ("detect", ["--expected-dt", "nan"], None, "expected_dt must be finite, got nan"),
+            ("detect", ["--expected-dt", "inf"], None, "expected_dt must be finite, got inf"),
+            ("detect", ["--window-seconds", "inf"], None, "window_seconds must be finite, got inf"),
+            ("spectrum", ["--stride-seconds", "nan"], None, "stride_seconds must be finite, got nan"),
+            ("detect", [], {"expected_dt": "nan"}, "expected_dt must be finite, got nan"),
+            ("detect", ["--match-tolerance", "nan"], None, "match_tolerance_hz must be positive and finite"),
+            ("detect", ["--match-tolerance", "inf"], None, "match_tolerance_hz must be positive and finite"),
+            ("detect", [], {"order": 3.7}, "order must be a whole number, got 3.7"),
+            ("analyze", [], {"order": 3.7}, "order must be a whole number, got 3.7"),
+            ("detect", [], {"order": True}, "order must be a whole number, got true"),
+            ("detect", [], {"window_seconds": True}, "window_seconds must be a number, got true"),
+            ("detect", [], {"match_tolerance": False}, "match_tolerance must be a number, got false"),
+            ("detect", [], {"min_amplitude_fraction": True}, "min_amplitude_fraction must be a number, got true"),
+            ("spectrum", [], {"band": [True, 2]}, "band must be a number, got true"),
         ],
         ids=["inverted-band", "spectrum-inverted-band", "spectrum-zero-width-band", "spectrum-config-inverted-band",
              "spectrum-config-three-band-edges", "stride-over-window",
-             "jobs-config-key", "order-not-int", "unknown-key"],
+             "jobs-config-key", "order-not-int", "unknown-key",
+             "expected-dt-nan", "expected-dt-inf", "window-seconds-inf", "spectrum-stride-seconds-nan",
+             "config-expected-dt-nan", "match-tolerance-nan", "match-tolerance-inf",
+             "order-fraction", "analyze-order-fraction", "order-boolean", "window-seconds-boolean",
+             "match-tolerance-boolean", "min-amplitude-fraction-boolean", "spectrum-config-boolean-band-edge"],
     )
     def test_invalid_setting_is_input_error(self, tmp_path, capsys, command, flags, settings, message):
         archive = tmp_path / "a.csv"

@@ -73,6 +73,16 @@ class TestSampleWindow:
         assert w.times[1] == pytest.approx(0.04)
         assert w.count == 626
 
+    @pytest.mark.parametrize("frozen", [False, True], ids=["writable", "frozen"])
+    def test_caller_array_is_copied(self, frozen):
+        samples = np.linspace(0.0, 1.0, 10)
+        samples.flags.writeable = not frozen
+        w = SampleWindow("s", Channel.Frequency_Hz, 0, 0.04, samples)
+        assert not np.shares_memory(w.samples, samples)
+        samples.flags.writeable = True
+        samples[0] = 5.0
+        assert w.samples[0] == 0.0
+
     def test_replace_samples_keeps_identity(self, make_window):
         w = make_window(np.ones(10), station="stn", t0_ms=55)
         w2 = w.replace_samples(np.zeros(10))
@@ -163,3 +173,9 @@ class TestAnalysisConfig:
         # short window: Rayleigh limit wins
         assert cfg.resolve_match_tolerance(10.0) == pytest.approx(0.1)
         assert AnalysisConfig(match_tolerance_hz=0.02).resolve_match_tolerance(25.0) == 0.02
+
+    @pytest.mark.parametrize("tolerance", [0.0, -0.1, math.nan, math.inf])
+    def test_match_tolerance_must_be_positive_and_finite(self, tolerance):
+        # a NaN tolerance would pair any mode with any peak (dist > nan is False)
+        with pytest.raises(ValueError, match="positive and finite"):
+            AnalysisConfig(match_tolerance_hz=tolerance)

@@ -160,6 +160,24 @@ class TestReadArchive:
         assert records[1] == ArchiveRecord(40, "s1", Channel.Frequency_Hz, None)
         assert records[0].station_id is records[1].station_id  # one str per station
 
+    def test_repeated_timestamp_is_one_int(self, tmp_path):
+        p = tmp_path / "a.csv"
+        _write(p, [HEADER, "1700000000000,s1,Frequency_Hz,1.0", " 1700000000000,s2,Frequency_Hz,2.0",
+                   "1700000000040,s1,Frequency_Hz,3.0"])
+        records = list(read_archive(p))
+        assert [r.timestamp_ms for r in records] == [1700000000000, 1700000000000, 1700000000040]
+        assert records[0].timestamp_ms is records[1].timestamp_ms
+
+    def test_repeated_bad_timestamp_is_noted_each_time(self, tmp_path):
+        p = tmp_path / "a.csv"
+        _write(p, [HEADER, "0,s1,Frequency_Hz,1.0", "9223372036854775808,s1,Frequency_Hz,2.0",
+                   "9223372036854775808,s2,Frequency_Hz,2.0", "x,s1,Frequency_Hz,2.0", "x,s2,Frequency_Hz,2.0"])
+        report = ParseReport()
+        assert [r.timestamp_ms for r in read_archive(p, report)] == [0]
+        assert report.issues == ["line 3: bad timestamp '9223372036854775808'",
+                                 "line 4: bad timestamp '9223372036854775808'",
+                                 "line 5: bad timestamp 'x'", "line 6: bad timestamp 'x'"]
+
 
 class TestArchiveRecord:
     def test_fields_equality_hash_and_immutability(self):
@@ -224,6 +242,23 @@ class TestMakeWindows:
         windows = make_windows(records, WindowingPolicy(window_seconds=25.0, stride_seconds=25.0))
         assert [w.station_id for w in windows] == ["a", "b"]
 
+    def test_overlapping_windows_share_one_frozen_buffer(self):
+        first, second = make_windows(_clean_records(1501), WindowingPolicy())[:2]
+        assert np.shares_memory(first.samples, second.samples)
+        for w in (first, second):
+            assert not w.samples.flags.writeable
+            with pytest.raises(ValueError):
+                w.samples.flags.writeable = True
+
+    def test_interpolated_window_has_its_own_samples(self):
+        records = _clean_records(1501)
+        del records[10]  # missing from the first window only
+        windows = make_windows(records, WindowingPolicy())
+        assert windows[0].samples[10] == pytest.approx(0.5 * (records[9].value + records[10].value))
+        assert not np.shares_memory(windows[0].samples, windows[1].samples)
+        assert np.shares_memory(windows[1].samples, windows[2].samples)
+        assert not windows[0].samples.flags.writeable
+
     @settings(max_examples=15)
     @given(st.randoms(use_true_random=False))
     def test_permutation_invariance(self, rnd):
@@ -275,6 +310,12 @@ class TestWindowingPolicy:
             WindowingPolicy(stride_seconds=30.0, window_seconds=25.0)
         with pytest.raises(ValueError):
             WindowingPolicy(max_gap_fraction=1.0)
+
+    @pytest.mark.parametrize("name", ["window_seconds", "stride_seconds", "expected_dt"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lengths_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            WindowingPolicy(**{name: value})
 
 
 # --- the record-at-a-time ingest that the array code replaced ---------------
