@@ -131,7 +131,8 @@ class SampleWindow:
             array later never changes the window. Windows that
             `make_windows` cuts from one stream are read-only views of one
             frozen buffer per stream, so overlapping windows share memory
-            instead of each holding its own copy.
+            instead of each holding its own copy; after a long outage,
+            where that buffer would outweigh the copies, each holds a copy.
     """
 
     station_id: str

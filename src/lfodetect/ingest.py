@@ -138,7 +138,6 @@ def read_archive(path, report: ParseReport | None = None) -> Iterator[ArchiveRec
     def records() -> Iterator[ArchiveRecord]:
         channels, isfinite, new = _CHANNELS, math.isfinite, tuple.__new__
         stations: dict[str, str] = {}  # one str object per station, not per record
-        last_ts_text, last_ts = None, None  # the last good timestamp
         with handle:
             for line_no, line in enumerate(handle, start=2):
                 if not line.isascii() and _UNDECODABLE.search(line):
@@ -153,18 +152,14 @@ def read_archive(path, report: ParseReport | None = None) -> Iterator[ArchiveRec
                         report.note(line_no, f"expected 4 fields, got {line.count(',') + 1}")
                     continue
                 ts_text = ts_text.strip()
-                if ts_text == last_ts_text:
-                    ts = last_ts  # interleaved stations: one int object per timestamp
-                else:
-                    try:
-                        ts = int(ts_text)
-                    except ValueError:
-                        ts = None
-                    if ts is None or not _TIMESTAMP_MIN <= ts <= _TIMESTAMP_MAX:
-                        if report is not None:
-                            report.note(line_no, f"bad timestamp {ts_text!r}")
-                        continue
-                    last_ts_text, last_ts = ts_text, ts
+                try:
+                    ts = int(ts_text)
+                except ValueError:
+                    ts = None
+                if ts is None or not _TIMESTAMP_MIN <= ts <= _TIMESTAMP_MAX:
+                    if report is not None:
+                        report.note(line_no, f"bad timestamp {ts_text!r}")
+                    continue
                 channel_text = channel_text.strip()
                 channel = channels.get(channel_text)
                 if channel is None:
@@ -204,7 +199,10 @@ def make_windows(
     linearly interpolated; beyond that the window is skipped with a
     diagnostic. Emitted windows are ordered by (station, channel, t0).
     Each stream's slot array is frozen, and its windows are read-only
-    views of it, except interpolated ones, which own their samples.
+    views of it, except interpolated ones, which own their samples. A
+    view keeps the whole array alive, outages included, so a stream whose
+    gapless windows hold fewer samples in all than its array gives each
+    window a copy instead.
     Timestamps must fit in int64, as `read_archive` ensures.
 
     Raises:
@@ -247,6 +245,9 @@ def _stream_windows(
     # running NaN count, not a rescan of its overlapping samples
     missing_before = np.concatenate(([0], np.cumsum(np.isnan(values))))
     counts = missing_before[starts + width] - missing_before[starts]
+    # views keep the whole array alive, outages included, so the stream is
+    # shared only where its gapless windows' copies would hold as much
+    share = np.count_nonzero(counts == 0) * width >= values.size
     windows = []
     for start, n_missing in zip(starts.tolist(), counts.tolist()):
         segment = values[start : start + width]
@@ -265,7 +266,9 @@ def _stream_windows(
             idx = np.arange(width)
             segment = np.interp(idx, idx[present], segment[present])
             segment.flags.writeable = False
-        windows.append(SampleWindow(station, channel, t0, policy.expected_dt, _Shared(segment)))
+        if n_missing or share:
+            segment = _Shared(segment)
+        windows.append(SampleWindow(station, channel, t0, policy.expected_dt, segment))
     return windows
 
 
@@ -286,7 +289,6 @@ def _slot_values(
     # missing last, value), then the first regular record wins a slot
     order = np.lexsort((np.where(absent, 0.0, vals), absent, stamps))
     stamps, vals = stamps[order], vals[order]
-    del order, absent  # each temporary goes once used, to keep the peak low
     ts = stamps.astype(float)
     spacing = float(np.median(np.diff(ts)))
     if abs(spacing - dt_ms) > 0.1 * dt_ms:
@@ -302,17 +304,11 @@ def _slot_values(
     # is irregular and leaves the slot missing. The np.full above bounds
     # the stream's span, so the int64 difference cannot wrap.
     slots = np.rint((stamps - t_start).astype(float) / dt_ms).astype(np.int64)
-    del stamps
     regular = (slots < n_slots) & ~(
         np.abs(ts - (float(t_start) + slots * dt_ms)) > _SLOT_TOLERANCE * dt_ms
     )
-    del ts
-    slots, vals = slots[regular], vals[regular]
-    # the records are in timestamp order, so their slots never decrease and
-    # the first of each run of equal slots is the first record in sort order
-    first = np.ones(slots.size, dtype=bool)
-    np.not_equal(slots[1:], slots[:-1], out=first[1:])
-    values[slots[first]] = vals[first]
+    slots, first = np.unique(slots[regular], return_index=True)
+    values[slots] = vals[regular][first]
     return t_start, values
 
 

@@ -160,24 +160,6 @@ class TestReadArchive:
         assert records[1] == ArchiveRecord(40, "s1", Channel.Frequency_Hz, None)
         assert records[0].station_id is records[1].station_id  # one str per station
 
-    def test_repeated_timestamp_is_one_int(self, tmp_path):
-        p = tmp_path / "a.csv"
-        _write(p, [HEADER, "1700000000000,s1,Frequency_Hz,1.0", " 1700000000000,s2,Frequency_Hz,2.0",
-                   "1700000000040,s1,Frequency_Hz,3.0"])
-        records = list(read_archive(p))
-        assert [r.timestamp_ms for r in records] == [1700000000000, 1700000000000, 1700000000040]
-        assert records[0].timestamp_ms is records[1].timestamp_ms
-
-    def test_repeated_bad_timestamp_is_noted_each_time(self, tmp_path):
-        p = tmp_path / "a.csv"
-        _write(p, [HEADER, "0,s1,Frequency_Hz,1.0", "9223372036854775808,s1,Frequency_Hz,2.0",
-                   "9223372036854775808,s2,Frequency_Hz,2.0", "x,s1,Frequency_Hz,2.0", "x,s2,Frequency_Hz,2.0"])
-        report = ParseReport()
-        assert [r.timestamp_ms for r in read_archive(p, report)] == [0]
-        assert report.issues == ["line 3: bad timestamp '9223372036854775808'",
-                                 "line 4: bad timestamp '9223372036854775808'",
-                                 "line 5: bad timestamp 'x'", "line 6: bad timestamp 'x'"]
-
 
 class TestArchiveRecord:
     def test_fields_equality_hash_and_immutability(self):
@@ -258,6 +240,14 @@ class TestMakeWindows:
         assert not np.shares_memory(windows[0].samples, windows[1].samples)
         assert np.shares_memory(windows[1].samples, windows[2].samples)
         assert not windows[0].samples.flags.writeable
+
+    def test_outage_stream_windows_hold_copies(self):
+        # a view would keep the stream's whole slot array alive, outage included
+        records = _clean_records(1501) + _clean_records(1501, start=660_000)
+        windows = make_windows(records, WindowingPolicy())
+        assert len(windows) == 16
+        held = {id(a): a for a in (w.samples if w.samples.base is None else w.samples.base for w in windows)}
+        assert sum(a.size for a in held.values()) == 16 * 626
 
     @settings(max_examples=15)
     @given(st.randoms(use_true_random=False))
