@@ -41,8 +41,13 @@ EXIT_CRITICAL = 3
 #: Settings that are WindowingPolicy fields under the same name.
 _POLICY_KEYS = ("window_seconds", "stride_seconds", "expected_dt", "max_gap_fraction")
 
-#: Keys a --config file may set; any other key is most likely a typo.
-_CONFIG_KEYS = frozenset(_POLICY_KEYS + ("order", "band", "match_tolerance", "min_amplitude_fraction"))
+#: Keys each command's --config file may set: the settings the command
+#: reads. Any other key is most likely a typo.
+_CONFIG_KEYS = {
+    "analyze": frozenset(_POLICY_KEYS + ("order", "band", "min_amplitude_fraction")),
+    "detect": frozenset(_POLICY_KEYS + ("order", "band", "match_tolerance", "min_amplitude_fraction")),
+    "spectrum": frozenset(_POLICY_KEYS + ("band",)),
+}
 
 
 class InvalidSetting(ValueError):
@@ -114,7 +119,6 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
     floor = AnalysisConfig.min_mode_amplitude_fraction
     parser.add_argument("--order", type=int, default=None, help="prediction model order (default: automatic)")
     parser.add_argument("--band", type=_parse_band, default=None, metavar="LO,HI", help="analysis band in Hz (default %s,%s)" % AnalysisConfig.emd_band_hz)
-    parser.add_argument("--match-tolerance", type=float, default=None, help="mode/peak match tolerance in Hz (default: automatic)")
     parser.add_argument("--min-amplitude-fraction", type=float, default=None, help=f"relative amplitude floor for modes (default {floor:g})")
 
 
@@ -158,6 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_windowing_flags(p_detect)
     _add_analysis_flags(p_detect)
     _add_common_flags(p_detect)
+    p_detect.add_argument("--match-tolerance", type=float, default=None, help="mode/peak match tolerance in Hz (default: automatic)")
     p_detect.set_defaults(func=cmd_detect)
 
     p_spectrum = sub.add_parser("spectrum", help="per-window spectrum CSVs")
@@ -172,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: Path | None) -> dict:
+def _load_config(path: Path | None, keys: frozenset) -> dict:
     if path is None:
         return {}
     try:
@@ -183,17 +188,19 @@ def _load_config(path: Path | None) -> dict:
         raise SchemaMismatch(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SchemaMismatch(f"config {path} must hold a JSON object")
-    unknown = sorted(set(data) - _CONFIG_KEYS)
+    unknown = sorted(set(data) - keys)
     if unknown:
         raise SchemaMismatch(f"config {path} has unknown key(s): {', '.join(unknown)}")
     return data
 
 
-def _given(args, config: dict) -> dict:
-    """The settings a flag or the config file set, flags winning. Anything
-    unset is left to the WindowingPolicy and AnalysisConfig defaults."""
-    flags = {name: getattr(args, name, None) for name in _CONFIG_KEYS}
-    return {**config, **{name: value for name, value in flags.items() if value is not None}}
+def _given(args) -> dict:
+    """The settings of `args.command` that a flag or the config file set,
+    flags winning. Anything unset is left to the WindowingPolicy and
+    AnalysisConfig defaults."""
+    keys = _CONFIG_KEYS[args.command]
+    flags = {name: getattr(args, name, None) for name in keys}
+    return {**_load_config(args.config, keys), **{name: value for name, value in flags.items() if value is not None}}
 
 
 def _number(name: str, value) -> float:
@@ -253,7 +260,7 @@ def _resolve_settings(args, resolve=_resolve_analysis):
     Raises:
         InvalidSetting: a value has the wrong type or is out of range.
     """
-    given = _given(args, _load_config(args.config))
+    given = _given(args)
     try:
         return _resolve_policy(given), resolve(given)
     except (TypeError, ValueError) as exc:
@@ -415,6 +422,9 @@ def cmd_detect(args) -> int:
             detector.check_stability_order(policy.window_samples, cfg.prony_order)
         except prony.OrderTooHigh as exc:
             raise InvalidSetting(f"invalid setting: {exc}") from exc
+    hi, nyquist = cfg.emd_band_hz[1], 0.5 / policy.expected_dt
+    if hi > nyquist * (1.0 + 1e-12):  # the slack spectrum.find_peaks allows
+        raise InvalidSetting(f"invalid setting: band upper edge {hi} Hz exceeds Nyquist {nyquist} Hz")
     alarms = []
 
     def analyse(w, prefix):

@@ -128,11 +128,13 @@ class SampleWindow:
             timestamps, so ingestion decides resampling exactly once).
         samples: sample values, a read-only float array. A window built
             from a caller's array holds a copy of it, so changing that
-            array later never changes the window. Windows that
+            array later never changes the window. Gapless windows that
             `make_windows` cuts from one stream are read-only views of one
-            frozen buffer per stream, so overlapping windows share memory
-            instead of each holding its own copy; after a long outage,
-            where that buffer would outweigh the copies, each holds a copy.
+            frozen buffer per stream, which holds the stream's filled
+            slots only, so overlapping windows share memory instead of
+            each holding its own copy; where that buffer would outweigh
+            the gapless windows' copies, each holds a copy, so views never
+            hold more memory than copies would.
     """
 
     station_id: str

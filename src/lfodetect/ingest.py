@@ -89,6 +89,10 @@ class WindowingPolicy:
             raise ValueError("stride must satisfy 0 < stride <= window")
         if not (0 <= self.max_gap_fraction < 1):
             raise ValueError("max_gap_fraction must lie in [0, 1)")
+        if not math.isfinite(self.window_seconds / self.expected_dt):
+            raise ValueError("window_seconds / expected_dt must be finite")
+        if self.window_samples < 4:
+            raise ValueError(f"a window must hold at least 4 samples, got {self.window_samples}")
 
     @property
     def window_samples(self) -> int:
@@ -104,7 +108,6 @@ class ParseReport:
     """Per-line problems collected while reading an archive."""
 
     issues: list[str] = field(default_factory=list)
-    missing_values: int = 0
 
     def note(self, line_no: int, message: str) -> None:
         self.issues.append(f"line {line_no}: {message}")
@@ -115,14 +118,15 @@ def read_archive(path, report: ParseReport | None = None) -> Iterator[ArchiveRec
 
     Malformed lines, including lines that are not valid UTF-8 and
     timestamps outside int64, are skipped and noted in `report` (with line
-    numbers); non-finite values yield records marked missing. The stream
-    never aborts on bad lines.
+    numbers; a throwaway one when none is given); non-finite values yield
+    records marked missing. The stream never aborts on bad lines.
 
     Raises:
         FileUnreadable: file cannot be opened.
         SchemaMismatch: header line is wrong or not valid UTF-8.
     """
     path = Path(path)
+    report = ParseReport() if report is None else report
     try:
         handle = open(path, "r", encoding="utf-8", errors="surrogateescape", newline="")
     except OSError as exc:
@@ -136,20 +140,19 @@ def read_archive(path, report: ParseReport | None = None) -> Iterator[ArchiveRec
         raise SchemaMismatch(f"expected header {ARCHIVE_HEADER!r}, got {header!r}")
 
     def records() -> Iterator[ArchiveRecord]:
-        channels, isfinite, new = _CHANNELS, math.isfinite, tuple.__new__
+        channels, isfinite, new, note = _CHANNELS, math.isfinite, tuple.__new__, report.note
         stations: dict[str, str] = {}  # one str object per station, not per record
         with handle:
             for line_no, line in enumerate(handle, start=2):
                 if not line.isascii() and _UNDECODABLE.search(line):
-                    if report is not None:
-                        report.note(line_no, "not valid UTF-8")
+                    note(line_no, "not valid UTF-8")
                     continue
                 try:
                     # the line ending stays on value_text until its strip()
                     ts_text, station, channel_text, value_text = line.split(",")
                 except ValueError:
-                    if report is not None and line.strip():  # blank lines are not noted
-                        report.note(line_no, f"expected 4 fields, got {line.count(',') + 1}")
+                    if line.strip():  # blank lines are not noted
+                        note(line_no, f"expected 4 fields, got {line.count(',') + 1}")
                     continue
                 ts_text = ts_text.strip()
                 try:
@@ -157,26 +160,21 @@ def read_archive(path, report: ParseReport | None = None) -> Iterator[ArchiveRec
                 except ValueError:
                     ts = None
                 if ts is None or not _TIMESTAMP_MIN <= ts <= _TIMESTAMP_MAX:
-                    if report is not None:
-                        report.note(line_no, f"bad timestamp {ts_text!r}")
+                    note(line_no, f"bad timestamp {ts_text!r}")
                     continue
                 channel_text = channel_text.strip()
                 channel = channels.get(channel_text)
                 if channel is None:
-                    if report is not None:
-                        report.note(line_no, f"unknown channel {channel_text!r}")
+                    note(line_no, f"unknown channel {channel_text!r}")
                     continue
                 value_text = value_text.strip()
                 try:
                     value: float | None = float(value_text)
                 except ValueError:
-                    if report is not None:
-                        report.note(line_no, f"bad value {value_text!r}")
+                    note(line_no, f"bad value {value_text!r}")
                     continue
                 if not isfinite(value):
-                    if report is not None:
-                        report.note(line_no, f"non-finite value {value_text!r} marked missing")
-                        report.missing_values += 1
+                    note(line_no, f"non-finite value {value_text!r} marked missing")
                     value = None
                 station = station.strip()
                 station = stations.setdefault(station, station)
@@ -198,11 +196,13 @@ def make_windows(
     Missing or irregular slots up to max_gap_fraction of a window are
     linearly interpolated; beyond that the window is skipped with a
     diagnostic. Emitted windows are ordered by (station, channel, t0).
-    Each stream's slot array is frozen, and its windows are read-only
-    views of it, except interpolated ones, which own their samples. A
-    view keeps the whole array alive, outages included, so a stream whose
-    gapless windows hold fewer samples in all than its array gives each
-    window a copy instead.
+    Each stream is held as its filled slots and their values, so an
+    outage costs no memory. The values are frozen, and every gapless
+    window is a read-only view of them; interpolated windows own their
+    samples. A view keeps all of the stream's values alive, so a stream
+    whose gapless windows hold fewer samples in all than it has filled
+    slots gives each window a copy instead: views never hold more memory
+    than copies would.
     Timestamps must fit in int64, as `read_archive` ensures.
 
     Raises:
@@ -236,21 +236,19 @@ def _stream_windows(
     if len(recs) < 2:
         return []
     dt_ms = policy.expected_dt * 1000.0
-    t_start, values = _slot_values(station, channel, recs, dt_ms)
+    t_start, n_slots, slots, values = _filled_slots(station, channel, recs, dt_ms)
     values.flags.writeable = False
 
     width = policy.window_samples
-    starts = np.arange(0, values.size - width + 1, policy.stride_samples)
-    # each window's missing count is one difference of the stream's
-    # running NaN count, not a rescan of its overlapping samples
-    missing_before = np.concatenate(([0], np.cumsum(np.isnan(values))))
-    counts = missing_before[starts + width] - missing_before[starts]
-    # views keep the whole array alive, outages included, so the stream is
-    # shared only where its gapless windows' copies would hold as much
+    starts = np.arange(0, n_slots - width + 1, policy.stride_samples)
+    # a window's filled slots are one run of `slots`, two binary searches apart
+    firsts = np.searchsorted(slots, starts)
+    counts = width - (np.searchsorted(slots, starts + width) - firsts)
+    # views keep the whole buffer alive, so the stream is shared only where
+    # its gapless windows' copies would hold as much
     share = np.count_nonzero(counts == 0) * width >= values.size
     windows = []
-    for start, n_missing in zip(starts.tolist(), counts.tolist()):
-        segment = values[start : start + width]
+    for start, first, n_missing in zip(starts.tolist(), firsts.tolist(), counts.tolist()):
         t0 = int(round(t_start + start * dt_ms))
         if n_missing / width > policy.max_gap_fraction:
             message = (
@@ -261,10 +259,10 @@ def _stream_windows(
             if diagnostics is not None:
                 diagnostics.append(message)
             continue
+        last = first + width - n_missing
+        segment = values[first:last]
         if n_missing:
-            present = ~np.isnan(segment)
-            idx = np.arange(width)
-            segment = np.interp(idx, idx[present], segment[present])
+            segment = np.interp(np.arange(width), slots[first:last] - start, segment)
             segment.flags.writeable = False
         if n_missing or share:
             segment = _Shared(segment)
@@ -272,12 +270,12 @@ def _stream_windows(
     return windows
 
 
-def _slot_values(
+def _filled_slots(
     station: str, channel: Channel, recs: list[ArchiveRecord], dt_ms: float
-) -> tuple[int, np.ndarray]:
-    """(first timestamp, value per grid slot) of a stream of two or more
-    records, NaN where a slot is missing. The sort and slot temporaries
-    live only here, so they are freed before the windows are cut.
+) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """(first timestamp, slots spanned, filled slots ascending, their
+    values) of a stream of two or more records; a slot is filled when its
+    first regular record has a value. Sort temporaries die here.
 
     Raises:
         DtMismatch: the median spacing deviates from dt_ms by more than 10%.
@@ -298,18 +296,19 @@ def _slot_values(
         )
     t_start = int(stamps[0])
     n_slots = int(round((ts[-1] - t_start) / dt_ms)) + 1
-    values = np.full(n_slots, np.nan)
     # the per-record rule in array form: slot = round((ts - t_start) / dt),
     # half to even, and a record off its slot by more than the tolerance
-    # is irregular and leaves the slot missing. The np.full above bounds
-    # the stream's span, so the int64 difference cannot wrap.
-    slots = np.rint((stamps - t_start).astype(float) / dt_ms).astype(np.int64)
+    # is irregular and leaves the slot missing. Sorted stamps differ by
+    # less than 2**64 ms, so the uint64 view is exact where int64 wraps.
+    offsets = (stamps - t_start).view(np.uint64)
+    slots = np.rint(offsets.astype(float) / dt_ms).astype(np.int64)
     regular = (slots < n_slots) & ~(
         np.abs(ts - (float(t_start) + slots * dt_ms)) > _SLOT_TOLERANCE * dt_ms
     )
     slots, first = np.unique(slots[regular], return_index=True)
-    values[slots] = vals[regular][first]
-    return t_start, values
+    values = vals[regular][first]
+    filled = ~np.isnan(values)
+    return t_start, n_slots, slots[filled], values[filled]
 
 
 def _atomic_write(path: Path, chunks: Iterable[str]) -> None:

@@ -495,6 +495,16 @@ class TestBadConfig:
         config.write_text(json.dumps({"band": "oops"}))
         assert run("detect", archive, "--out-dir", tmp_path / "o", "--config", config) == 2
 
+    def test_analyze_has_no_match_tolerance_flag(self, growing_archive, tmp_path, capsys):
+        # analyze never matches modes to peaks: the tolerance reached only the manifest
+        assert run("analyze", growing_archive, "--out-dir", tmp_path / "o", "--match-tolerance", "0.1") == 2
+        assert "unrecognized arguments: --match-tolerance 0.1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_band_ending_at_nyquist_runs(self, growing_archive, tmp_path):
+        assert run("detect", growing_archive, "--out-dir", tmp_path / "o", "--band", "0.1,12.5") == 3
+        assert (tmp_path / "o" / "alarms.jsonl").read_text()
+
     @pytest.mark.parametrize(
         "command, flags, settings, message",
         [
@@ -521,6 +531,16 @@ class TestBadConfig:
             ("detect", [], {"match_tolerance": False}, "match_tolerance must be a number, got false"),
             ("detect", [], {"min_amplitude_fraction": True}, "min_amplitude_fraction must be a number, got true"),
             ("spectrum", [], {"band": [True, 2]}, "band must be a number, got true"),
+            ("detect", ["--band", "0.1,20"], None, "band upper edge 20.0 Hz exceeds Nyquist 12.5 Hz"),
+            ("detect", ["--band", "0.1,inf"], None, "band upper edge inf Hz exceeds Nyquist 12.5 Hz"),
+            ("detect", [], {"band": "0.1,20"}, "band upper edge 20.0 Hz exceeds Nyquist 12.5 Hz"),
+            ("detect", ["--window-seconds", "0.1", "--stride-seconds", "0.1"], None,
+             "a window must hold at least 4 samples, got 3"),
+            ("spectrum", ["--window-seconds", "0.1", "--stride-seconds", "0.1"], None,
+             "a window must hold at least 4 samples, got 3"),
+            ("spectrum", [], {"order": "x", "match_tolerance": -1}, "unknown key(s): match_tolerance, order"),
+            ("spectrum", [], {"min_amplitude_fraction": 0.1}, "unknown key(s): min_amplitude_fraction"),
+            ("analyze", [], {"match_tolerance": 0.1}, "unknown key(s): match_tolerance"),
         ],
         ids=["inverted-band", "spectrum-inverted-band", "spectrum-zero-width-band", "spectrum-config-inverted-band",
              "spectrum-config-three-band-edges", "stride-over-window",
@@ -528,7 +548,11 @@ class TestBadConfig:
              "expected-dt-nan", "expected-dt-inf", "window-seconds-inf", "spectrum-stride-seconds-nan",
              "config-expected-dt-nan", "match-tolerance-nan", "match-tolerance-inf",
              "order-fraction", "analyze-order-fraction", "order-boolean", "window-seconds-boolean",
-             "match-tolerance-boolean", "min-amplitude-fraction-boolean", "spectrum-config-boolean-band-edge"],
+             "match-tolerance-boolean", "min-amplitude-fraction-boolean", "spectrum-config-boolean-band-edge",
+             "band-above-nyquist", "band-to-infinity", "config-band-above-nyquist",
+             "window-of-three-samples", "spectrum-window-of-three-samples",
+             "spectrum-config-analysis-keys", "spectrum-config-min-amplitude-fraction",
+             "analyze-config-match-tolerance"],
     )
     def test_invalid_setting_is_input_error(self, tmp_path, capsys, command, flags, settings, message):
         archive = tmp_path / "a.csv"

@@ -1,5 +1,7 @@
+import logging
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +50,7 @@ class TestReadArchive:
         records = list(read_archive(p, report))
         assert records[0].value is None
         assert records[1].value == 50.0
-        assert report.missing_values == 1
+        assert sum("marked missing" in issue for issue in report.issues) == 1
         assert "line 2" in report.issues[0]
 
     def test_malformed_lines_skipped_not_fatal(self, tmp_path):
@@ -241,13 +243,47 @@ class TestMakeWindows:
         assert np.shares_memory(windows[1].samples, windows[2].samples)
         assert not windows[0].samples.flags.writeable
 
-    def test_outage_stream_windows_hold_copies(self):
-        # a view would keep the stream's whole slot array alive, outage included
+    def test_outage_stream_windows_hold_only_filled_slots(self):
+        # the stream buffer holds the 3 002 records' slots, not the outage
         records = _clean_records(1501) + _clean_records(1501, start=660_000)
         windows = make_windows(records, WindowingPolicy())
         assert len(windows) == 16
         held = {id(a): a for a in (w.samples if w.samples.base is None else w.samples.base for w in windows)}
-        assert sum(a.size for a in held.values()) == 16 * 626
+        assert sum(a.size for a in held.values()) <= 3002
+
+    def test_gapless_window_copied_when_stream_buffer_is_larger(self):
+        # scattered single losses after a clean first window: the one gapless
+        # window holds 626 samples, the stream buffer 1 494
+        records = [r for i, r in enumerate(_clean_records(1501)) if i < 626 or i % 125 != 60]
+        windows = make_windows(records, WindowingPolicy())
+        assert len(windows) == 8
+        gapless, gappy = windows[0], windows[1:]
+        assert np.array_equal(gapless.samples, [r.value for r in records[:626]])
+        assert gapless.samples.flags.owndata and not gapless.samples.flags.writeable
+        assert not any(np.shares_memory(gapless.samples, w.samples) for w in gappy)
+
+    def test_outage_costs_no_memory(self, caplog):
+        # one day of outage between two minutes of data: 2.16M grid slots,
+        # which slot arrays spanning the stream would hold several times over
+        caplog.set_level(logging.ERROR, logger="lfodetect.ingest")
+        records = _clean_records(1501) + _clean_records(1501, start=86_460_000)
+        tracemalloc.start()
+        try:
+            windows = make_windows(records, WindowingPolicy())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(windows) == 16
+        assert peak < 10_000_000
+
+    def test_span_past_int64_matches_reference(self):
+        # the last stamp lies more than 2**63 ms after the first
+        dt = 1.1e15
+        records = [ArchiveRecord(-5 * 10**18 + k * 11 * 10**17, "s1", Channel.Frequency_Hz, float(k)) for k in range(10)]
+        policy = WindowingPolicy(window_seconds=3 * dt, stride_seconds=dt, expected_dt=dt, max_gap_fraction=0.3)
+        outcome = _windowing_outcome(make_windows, records, policy)
+        assert outcome == _windowing_outcome(_reference_make_windows, records, policy)
+        assert len(outcome[0]) == 7 and outcome[1] == []
 
     @settings(max_examples=15)
     @given(st.randoms(use_true_random=False))
@@ -301,6 +337,14 @@ class TestWindowingPolicy:
         with pytest.raises(ValueError):
             WindowingPolicy(max_gap_fraction=1.0)
 
+    def test_window_of_fewer_than_four_samples_rejected(self):
+        # 2.5 intervals round half to even, to 2 intervals: 3 samples
+        with pytest.raises(ValueError, match="at least 4 samples, got 3"):
+            WindowingPolicy(window_seconds=0.1, stride_seconds=0.1)
+        assert WindowingPolicy(window_seconds=0.12, stride_seconds=0.12).window_samples == 4
+        with pytest.raises(ValueError, match="window_seconds / expected_dt must be finite"):
+            WindowingPolicy(window_seconds=1e300, expected_dt=1e-300)
+
     @pytest.mark.parametrize("name", ["window_seconds", "stride_seconds", "expected_dt"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_lengths_rejected(self, name, value):
@@ -350,7 +394,6 @@ def _reference_read(path, report):
                 continue
             if not math.isfinite(value):
                 report.note(line_no, f"non-finite value {value_text!r} marked missing")
-                report.missing_values += 1
                 value = None
             yield ArchiveRecord(ts, station, channel, value)
 
@@ -507,7 +550,6 @@ class TestMatchesReference:
         # repr tells -0.0 from 0.0 and None from NaN
         assert repr(records) == repr(expected)
         assert report.issues == expected_report.issues
-        assert report.missing_values == expected_report.missing_values
 
     @settings(max_examples=300)
     @given(_windowing_cases())
