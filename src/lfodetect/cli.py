@@ -388,8 +388,28 @@ def _write_imf_dump(path: Path, window, imf_set) -> None:
     _write_csv(path, ",".join(["time_s"] + names + ["residue"]), columns)
 
 
+def _check_band_below_nyquist(cfg: AnalysisConfig, policy: WindowingPolicy) -> None:
+    """Refuse an analysis band whose upper edge lies above the Nyquist
+    frequency of the windowing policy.
+
+    Raises:
+        InvalidSetting: the band's upper edge exceeds Nyquist.
+    """
+    hi, nyquist = cfg.emd_band_hz[1], 0.5 / policy.expected_dt
+    if hi > nyquist * (1.0 + 1e-12):  # the slack spectrum.find_peaks allows
+        raise InvalidSetting(f"invalid setting: band upper edge {hi} Hz exceeds Nyquist {nyquist} Hz")
+
+
 def cmd_analyze(args) -> int:
-    policy, cfg = _resolve_settings(args)
+    def resolve(given: dict) -> AnalysisConfig:
+        # only the EMD band-pass reads the band
+        if "band" in given and not args.emd:
+            raise ValueError("band applies only with --emd")
+        return _resolve_analysis(given)
+
+    policy, cfg = _resolve_settings(args, resolve)
+    if args.emd:
+        _check_band_below_nyquist(cfg, policy)
 
     def analyse(w, prefix):
         imf_set = emd.decompose(w) if args.emd or args.dump_imfs else None
@@ -422,9 +442,7 @@ def cmd_detect(args) -> int:
             detector.check_stability_order(policy.window_samples, cfg.prony_order)
         except prony.OrderTooHigh as exc:
             raise InvalidSetting(f"invalid setting: {exc}") from exc
-    hi, nyquist = cfg.emd_band_hz[1], 0.5 / policy.expected_dt
-    if hi > nyquist * (1.0 + 1e-12):  # the slack spectrum.find_peaks allows
-        raise InvalidSetting(f"invalid setting: band upper edge {hi} Hz exceeds Nyquist {nyquist} Hz")
+    _check_band_below_nyquist(cfg, policy)
     alarms = []
 
     def analyse(w, prefix):

@@ -120,6 +120,10 @@ def read_archive(path, report: ParseReport | None = None) -> Iterator[ArchiveRec
     timestamps outside int64, are skipped and noted in `report` (with line
     numbers; a throwaway one when none is given); non-finite values yield
     records marked missing. The stream never aborts on bad lines.
+    A line whose timestamp field is the same text as the previous
+    timestamp field read takes that field's int and verdict, so the
+    records of an archive written instant by instant share one int per
+    instant; a bad timestamp is noted on every line that carries it.
 
     Raises:
         FileUnreadable: file cannot be opened.
@@ -142,6 +146,7 @@ def read_archive(path, report: ParseReport | None = None) -> Iterator[ArchiveRec
     def records() -> Iterator[ArchiveRecord]:
         channels, isfinite, new, note = _CHANNELS, math.isfinite, tuple.__new__, report.note
         stations: dict[str, str] = {}  # one str object per station, not per record
+        last_ts_text = ts_text = ts = None
         with handle:
             for line_no, line in enumerate(handle, start=2):
                 if not line.isascii() and _UNDECODABLE.search(line):
@@ -149,17 +154,20 @@ def read_archive(path, report: ParseReport | None = None) -> Iterator[ArchiveRec
                     continue
                 try:
                     # the line ending stays on value_text until its strip()
-                    ts_text, station, channel_text, value_text = line.split(",")
+                    raw_ts, station, channel_text, value_text = line.split(",")
                 except ValueError:
                     if line.strip():  # blank lines are not noted
                         note(line_no, f"expected 4 fields, got {line.count(',') + 1}")
                     continue
-                ts_text = ts_text.strip()
-                try:
-                    ts = int(ts_text)
-                except ValueError:
-                    ts = None
-                if ts is None or not _TIMESTAMP_MIN <= ts <= _TIMESTAMP_MAX:
+                if raw_ts != last_ts_text:  # else the previous stamp's int and verdict stand
+                    last_ts_text, ts_text = raw_ts, raw_ts.strip()
+                    try:
+                        ts = int(ts_text)
+                        if not _TIMESTAMP_MIN <= ts <= _TIMESTAMP_MAX:
+                            ts = None
+                    except ValueError:
+                        ts = None
+                if ts is None:
                     note(line_no, f"bad timestamp {ts_text!r}")
                     continue
                 channel_text = channel_text.strip()
@@ -275,7 +283,11 @@ def _filled_slots(
 ) -> tuple[int, int, np.ndarray, np.ndarray]:
     """(first timestamp, slots spanned, filled slots ascending, their
     values) of a stream of two or more records; a slot is filled when its
-    first regular record has a value. Sort temporaries die here.
+    first regular record has a value. Every temporary is released at its
+    last use: the sort order and absent mask once the records are sorted,
+    the shifted stamps once scaled, the float stamps once measured against
+    their slots. The slot arithmetic runs in place, so at most five arrays
+    of the stream's length are alive at once.
 
     Raises:
         DtMismatch: the median spacing deviates from dt_ms by more than 10%.
@@ -286,9 +298,11 @@ def _filled_slots(
     # deterministic under input permutation: a stable sort by (timestamp,
     # missing last, value), then the first regular record wins a slot
     order = np.lexsort((np.where(absent, 0.0, vals), absent, stamps))
+    del absent
     stamps, vals = stamps[order], vals[order]
+    del order
     ts = stamps.astype(float)
-    spacing = float(np.median(np.diff(ts)))
+    spacing = float(np.median(np.diff(ts), overwrite_input=True))
     if abs(spacing - dt_ms) > 0.1 * dt_ms:
         raise DtMismatch(
             f"stream {station}/{channel.value}: median spacing {spacing:.3f} ms "
@@ -300,15 +314,24 @@ def _filled_slots(
     # half to even, and a record off its slot by more than the tolerance
     # is irregular and leaves the slot missing. Sorted stamps differ by
     # less than 2**64 ms, so the uint64 view is exact where int64 wraps.
-    offsets = (stamps - t_start).view(np.uint64)
-    slots = np.rint(offsets.astype(float) / dt_ms).astype(np.int64)
-    regular = (slots < n_slots) & ~(
-        np.abs(ts - (float(t_start) + slots * dt_ms)) > _SLOT_TOLERANCE * dt_ms
-    )
-    slots, first = np.unique(slots[regular], return_index=True)
-    values = vals[regular][first]
-    filled = ~np.isnan(values)
-    return t_start, n_slots, slots[filled], values[filled]
+    stamps -= t_start
+    buf = stamps.view(np.uint64).astype(float)
+    del stamps
+    buf /= dt_ms
+    slots = np.rint(buf, out=buf).astype(np.int64)
+    # the off-slot distance |ts - (t_start + slot * dt)|, in the same buffer
+    np.multiply(slots, dt_ms, out=buf)
+    buf += float(t_start)
+    np.abs(np.subtract(ts, buf, out=buf), out=buf)
+    del ts
+    regular = (slots < n_slots) & ~(buf > _SLOT_TOLERANCE * dt_ms)
+    del buf
+    slots, vals = slots[regular], vals[regular]
+    # slots ascend with the sorted stamps, so a slot's first regular record
+    # opens its run; the slot is filled when that record has a value
+    keep = ~np.isnan(vals)
+    keep[1:] &= slots[1:] != slots[:-1]
+    return t_start, n_slots, slots[keep], vals[keep]
 
 
 def _atomic_write(path: Path, chunks: Iterable[str]) -> None:

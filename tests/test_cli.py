@@ -541,6 +541,9 @@ class TestBadConfig:
             ("spectrum", [], {"order": "x", "match_tolerance": -1}, "unknown key(s): match_tolerance, order"),
             ("spectrum", [], {"min_amplitude_fraction": 0.1}, "unknown key(s): min_amplitude_fraction"),
             ("analyze", [], {"match_tolerance": 0.1}, "unknown key(s): match_tolerance"),
+            ("analyze", ["--band", "0.1,2"], None, "band applies only with --emd"),
+            ("analyze", [], {"band": "0.1,2"}, "band applies only with --emd"),
+            ("analyze", ["--emd", "--band", "0.1,1e308"], None, "band upper edge 1e+308 Hz exceeds Nyquist 12.5 Hz"),
         ],
         ids=["inverted-band", "spectrum-inverted-band", "spectrum-zero-width-band", "spectrum-config-inverted-band",
              "spectrum-config-three-band-edges", "stride-over-window",
@@ -552,7 +555,8 @@ class TestBadConfig:
              "band-above-nyquist", "band-to-infinity", "config-band-above-nyquist",
              "window-of-three-samples", "spectrum-window-of-three-samples",
              "spectrum-config-analysis-keys", "spectrum-config-min-amplitude-fraction",
-             "analyze-config-match-tolerance"],
+             "analyze-config-match-tolerance", "analyze-band-without-emd", "analyze-config-band-without-emd",
+             "analyze-emd-band-above-nyquist"],
     )
     def test_invalid_setting_is_input_error(self, tmp_path, capsys, command, flags, settings, message):
         archive = tmp_path / "a.csv"

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lfodetect import (
@@ -162,6 +162,14 @@ class TestReadArchive:
         assert records[1] == ArchiveRecord(40, "s1", Channel.Frequency_Hz, None)
         assert records[0].station_id is records[1].station_id  # one str per station
 
+    def test_repeated_timestamp_text_shares_one_int(self, tmp_path):
+        p = tmp_path / "a.csv"
+        _write(p, [HEADER, "1700000000000,s1,Frequency_Hz,1.0", "1700000000000,s2,Frequency_Hz,2.0",
+                   "1700000000040,s1,Frequency_Hz,3.0"])
+        first, second, third = read_archive(p)
+        assert first.timestamp_ms is second.timestamp_ms
+        assert third.timestamp_ms == 1_700_000_000_040
+
 
 class TestArchiveRecord:
     def test_fields_equality_hash_and_immutability(self):
@@ -275,6 +283,20 @@ class TestMakeWindows:
             tracemalloc.stop()
         assert len(windows) == 16
         assert peak < 10_000_000
+
+    def test_windowing_holds_few_arrays_per_stream(self):
+        # two interleaved gapless streams: the sort and slot temporaries of
+        # one stream at a time, not a dozen arrays of its length
+        records = [ArchiveRecord(1_700_000_000_000 + 40 * i, station, Channel.Frequency_Hz, float(np.sin(i * 0.1)))
+                   for i in range(30_001) for station in ("s1", "s2")]
+        tracemalloc.start()
+        try:
+            windows = make_windows(records, WindowingPolicy())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(windows) == 472
+        assert peak < 56 * len(records)
 
     def test_span_past_int64_matches_reference(self):
         # the last stamp lies more than 2**63 ms after the first
@@ -533,6 +555,18 @@ _ARCHIVE_BODIES = st.lists(
     st.tuples(_ARCHIVE_LINES, st.sampled_from([b"\n", b"\r\n", b"\r", b""])), max_size=30
 ).map(lambda lines: b"".join(text + ending for text, ending in lines))
 
+#: Timestamp texts that parse to the same int, to another, or not at all.
+_STAMP_TEXTS = ("12", " 12", "012", "+12", "12 ", "1700000000000", "x", "", "9223372036854775808",
+                "-9223372036854775809")
+#: Archive bodies in runs of lines that repeat one stamp text, each line
+#: good or bad in its other fields (the last one has 3 fields in all).
+_REPEATED_STAMP_BODIES = st.lists(
+    st.tuples(st.sampled_from(_STAMP_TEXTS),
+              st.lists(st.sampled_from(["s1,Frequency_Hz,1.0", "s2,VoltageMag_pu,nan", "s1,Bad,1.0",
+                                        "s2,Frequency_Hz,x", "s1,Frequency_Hz"]), min_size=1, max_size=3)),
+    max_size=12,
+).map(lambda runs: "".join(f"{stamp},{rest}\n" for stamp, rests in runs for rest in rests).encode())
+
 
 class TestMatchesReference:
     """The array-based ingest against the record-at-a-time code it replaced:
@@ -548,6 +582,23 @@ class TestMatchesReference:
             records = list(read_archive(path, report))
             expected = list(_reference_read(path, expected_report))
         # repr tells -0.0 from 0.0 and None from NaN
+        assert repr(records) == repr(expected)
+        assert report.issues == expected_report.issues
+
+    @settings(max_examples=200)
+    @given(_REPEATED_STAMP_BODIES)
+    @example(b"12,s1,Frequency_Hz,1.0\n 12,s2,Frequency_Hz,2.0\n012,s1,Frequency_Hz,3.0\n"
+             b"+12,s2,Frequency_Hz,4.0\n+12,s1,Frequency_Hz,5.0\n12,s2,Frequency_Hz,6.0\n")
+    @example(b"0,s1,Frequency_Hz,1.0\nx,s1,Frequency_Hz,2.0\nx,s2,Frequency_Hz,3.0\n40,s1,Frequency_Hz,4.0\n")
+    @example(b"9223372036854775808,s1,Frequency_Hz,1.0\n9223372036854775808,s2,Frequency_Hz,2.0\n"
+             b"9223372036854775807,s1,Frequency_Hz,3.0\n9223372036854775807,s2,Frequency_Hz,4.0\n")
+    def test_repeated_stamp_text_matches_reference(self, body):
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "stamps.csv"
+            path.write_bytes(HEADER.encode() + b"\n" + body)
+            report, expected_report = ParseReport(), ParseReport()
+            records = list(read_archive(path, report))
+            expected = list(_reference_read(path, expected_report))
         assert repr(records) == repr(expected)
         assert report.issues == expected_report.issues
 
