@@ -18,6 +18,7 @@ import math
 import os
 import re
 import tempfile
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -204,47 +205,75 @@ def make_windows(
     Missing or irregular slots up to max_gap_fraction of a window are
     linearly interpolated; beyond that the window is skipped with a
     diagnostic. Emitted windows are ordered by (station, channel, t0).
-    Each stream is held as its filled slots and their values, so an
-    outage costs no memory. The values are frozen, and every gapless
-    window is a read-only view of them; interpolated windows own their
-    samples. A view keeps all of the stream's values alive, so a stream
-    whose gapless windows hold fewer samples in all than it has filled
-    slots gives each window a copy instead: views never hold more memory
-    than copies would.
+    As records arrive, each stream keeps only their timestamps and values
+    in two typed buffers, 16 bytes a record (a missing value as NaN), so
+    a record streamed in, as from `read_archive`, is freed once appended.
+    Streams are then windowed one at a time, and a stream's buffers are
+    freed when its records are sorted. Each stream is held as its filled
+    slots and their values, so an outage costs no memory. The values are
+    frozen, and every gapless window is a read-only view of them;
+    interpolated windows own their samples. A view keeps all of the
+    stream's values alive, so a stream whose gapless windows hold fewer
+    samples in all than it has filled slots gives each window a copy
+    instead: views never hold more memory than copies would.
     Timestamps must fit in int64, as `read_archive` ensures.
 
     Raises:
+        TypeError: a record's timestamp_ms is not an int, or its value is
+            neither None nor a real number (a str, say); the message names
+            the stream, the field and the value.
         DtMismatch: a stream's median spacing deviates from expected_dt by
             more than 10%.
     """
     policy = policy or WindowingPolicy()
-    streams: dict[tuple[str, Channel], list[ArchiveRecord]] = {}
-    for rec in records:
-        key = (rec.station_id, rec.channel)
-        stream = streams.get(key)
-        if stream is None:
-            stream = streams[key] = []
-        stream.append(rec)
-
+    streams = _typed_streams(records)
     windows: list[SampleWindow] = []
     for key in sorted(streams, key=lambda k: (k[0], k[1].value)):
-        # popped, so each stream's records go before the next stream's arrays
+        # popped, and emptied by _filled_slots, so a stream's buffers go at
+        # its sort, before the next stream's arrays
         windows += _stream_windows(*key, streams.pop(key), policy, diagnostics)
     return windows
+
+
+def _typed_streams(records: Iterable[ArchiveRecord]) -> dict[tuple[str, Channel], list[array]]:
+    """Each (station, channel) stream's [stamps, values] buffers, int64 and
+    float64, in arrival order; a missing value is NaN. The records
+    themselves are not kept."""
+    nan = math.nan
+    streams: dict[tuple[str, Channel], list[array]] = {}
+    for ts, station, channel, value in records:
+        buffers = streams.get((station, channel))
+        if buffers is None:
+            buffers = streams[station, channel] = [array("q"), array("d")]
+        stamps, values = buffers
+        try:
+            stamps.append(ts)
+        except TypeError:
+            raise _bad_field(station, channel, "timestamp_ms", "an int", ts) from None
+        try:
+            values.append(nan if value is None else value)
+        except TypeError:
+            raise _bad_field(station, channel, "value", "None or a real number", value) from None
+    return streams
+
+
+def _bad_field(station: str, channel: Channel, name: str, kind: str, value) -> TypeError:
+    return TypeError(f"stream {station}/{channel.value}: {name} must be {kind}, got {value!r}")
 
 
 def _stream_windows(
     station: str,
     channel: Channel,
-    recs: list[ArchiveRecord],
+    buffers: list[array],
     policy: WindowingPolicy,
     diagnostics: list[str] | None,
 ) -> list[SampleWindow]:
-    """The windows of one stream, as `make_windows` describes them."""
-    if len(recs) < 2:
+    """The windows of one stream, as `make_windows` describes them, from its
+    [stamps, values] buffers, which `_filled_slots` empties."""
+    if len(buffers[0]) < 2:
         return []
     dt_ms = policy.expected_dt * 1000.0
-    t_start, n_slots, slots, values = _filled_slots(station, channel, recs, dt_ms)
+    t_start, n_slots, slots, values = _filled_slots(station, channel, buffers, dt_ms)
     values.flags.writeable = False
 
     width = policy.window_samples
@@ -279,30 +308,33 @@ def _stream_windows(
 
 
 def _filled_slots(
-    station: str, channel: Channel, recs: list[ArchiveRecord], dt_ms: float
+    station: str, channel: Channel, buffers: list[array], dt_ms: float
 ) -> tuple[int, int, np.ndarray, np.ndarray]:
     """(first timestamp, slots spanned, filled slots ascending, their
-    values) of a stream of two or more records; a slot is filled when its
-    first regular record has a value. Every temporary is released at its
-    last use: the sort order and absent mask once the records are sorted,
-    the shifted stamps once scaled, the float stamps once measured against
-    their slots. The slot arithmetic runs in place, so at most five arrays
-    of the stream's length are alive at once.
+    values) of a stream of two or more records, from its [stamps, values]
+    buffers; a slot is filled when its first regular record has a value.
+    The buffers are taken out of the list and read without a copy, so
+    they are freed once the records are sorted. Every temporary is
+    released at its last use: the sort order and absent mask once the
+    records are sorted, the shifted stamps once scaled, the float stamps
+    once measured against their slots. The slot arithmetic runs in place,
+    so at most five arrays of the stream's length are alive at once.
 
     Raises:
         DtMismatch: the median spacing deviates from dt_ms by more than 10%.
     """
-    stamps = np.array([r.timestamp_ms for r in recs], dtype=np.int64)
-    vals = np.array([r.value for r in recs], dtype=float)  # None becomes NaN
+    vals = np.frombuffer(buffers.pop(), dtype=float)  # a missing value is NaN
+    stamps = np.frombuffer(buffers.pop(), dtype=np.int64)
     absent = np.isnan(vals)
     # deterministic under input permutation: a stable sort by (timestamp,
     # missing last, value), then the first regular record wins a slot
     order = np.lexsort((np.where(absent, 0.0, vals), absent, stamps))
     del absent
-    stamps, vals = stamps[order], vals[order]
+    stamps = stamps[order]
+    vals = vals[order]
     del order
     ts = stamps.astype(float)
-    spacing = float(np.median(np.diff(ts), overwrite_input=True))
+    spacing = _median(np.diff(ts))
     if abs(spacing - dt_ms) > 0.1 * dt_ms:
         raise DtMismatch(
             f"stream {station}/{channel.value}: median spacing {spacing:.3f} ms "
@@ -332,6 +364,18 @@ def _filled_slots(
     keep = ~np.isnan(vals)
     keep[1:] &= slots[1:] != slots[:-1]
     return t_start, n_slots, slots[keep], vals[keep]
+
+
+def _median(a: np.ndarray) -> float:
+    """The median of a non-empty array of finite floats, which it reorders:
+    the middle value, or the mean of the middle two, bit for bit what
+    `np.median` gives, without the numpy.ma import that it costs."""
+    mid = a.size // 2
+    if a.size % 2:
+        a.partition(mid)
+        return float(a[mid])
+    a.partition((mid - 1, mid))
+    return (float(a[mid - 1]) + float(a[mid])) / 2.0
 
 
 def _atomic_write(path: Path, chunks: Iterable[str]) -> None:

@@ -1,5 +1,8 @@
 import logging
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -189,6 +192,12 @@ def _clean_records(n, dt_ms=40, station="s1", start=0):
     ]
 
 
+def _interleaved_records(n=30_001):
+    """Two gapless streams of n records, instant by instant, as a generator."""
+    return (ArchiveRecord(1_700_000_000_000 + 40 * i, station, Channel.Frequency_Hz, float(np.sin(i * 0.1)))
+            for i in range(n) for station in ("s1", "s2"))
+
+
 class TestMakeWindows:
     def test_sixty_seconds_gives_eight_windows(self):
         # 60 s inclusive at 25 frames/s = 1501 records
@@ -285,10 +294,10 @@ class TestMakeWindows:
         assert peak < 10_000_000
 
     def test_windowing_holds_few_arrays_per_stream(self):
-        # two interleaved gapless streams: the sort and slot temporaries of
-        # one stream at a time, not a dozen arrays of its length
-        records = [ArchiveRecord(1_700_000_000_000 + 40 * i, station, Channel.Frequency_Hz, float(np.sin(i * 0.1)))
-                   for i in range(30_001) for station in ("s1", "s2")]
+        # two interleaved gapless streams, held by the caller: 16 bytes a
+        # record while grouping, then the sort and slot temporaries of one
+        # stream at a time, not a dozen arrays of its length
+        records = list(_interleaved_records())
         tracemalloc.start()
         try:
             windows = make_windows(records, WindowingPolicy())
@@ -296,7 +305,28 @@ class TestMakeWindows:
         finally:
             tracemalloc.stop()
         assert len(windows) == 472
-        assert peak < 56 * len(records)
+        assert peak < 35 * len(records)
+
+    def test_streamed_records_are_not_kept(self):
+        # the same records from a generator: each is freed once its stamp
+        # and value are appended to its stream's typed buffers
+        tracemalloc.start()
+        try:
+            windows = make_windows(_interleaved_records(), WindowingPolicy())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(windows) == 472
+        assert peak < 40 * 2 * 30_001
+
+    @pytest.mark.parametrize("field, record, shown", [
+        ("timestamp_ms", ArchiveRecord(120.5, "s1", Channel.Frequency_Hz, 1.0), "120.5"),
+        ("value", ArchiveRecord(120, "s1", Channel.Frequency_Hz, "1.0"), "'1.0'"),
+    ])
+    def test_bad_record_field_named(self, field, record, shown):
+        records = _clean_records(700) + [record]
+        with pytest.raises(TypeError, match=rf"^stream s1/Frequency_Hz: {field} must be .*, got {shown}$"):
+            make_windows(records, WindowingPolicy())
 
     def test_span_past_int64_matches_reference(self):
         # the last stamp lies more than 2**63 ms after the first
@@ -483,7 +513,7 @@ def _windowing_outcome(make, records, policy):
     """Everything `make` gives back, in a form that compares bit for bit."""
     diagnostics = []
     try:
-        windows = make(list(records), policy, diagnostics)
+        windows = make(records, policy, diagnostics)
     except DtMismatch as exc:
         return "DtMismatch", str(exc), diagnostics
     return [
@@ -633,3 +663,42 @@ class TestMatchesReference:
             outcome = _windowing_outcome(make_windows, records, WindowingPolicy())
             assert outcome == _windowing_outcome(_reference_make_windows, expected, WindowingPolicy())
             assert len(outcome[0]) > 0 and len(outcome[1]) > 0  # windows emitted and skipped
+            # streamed straight from the file, as the CLI passes them
+            assert _windowing_outcome(make_windows, read_archive(path), WindowingPolicy()) == outcome
+
+
+#: Gaps as sorted timestamps give them: the grid spacing, repeats (0), off-grid
+#: and fractional spacings, and anything finite and non-negative.
+_GAPS = st.one_of(st.sampled_from([0.0, 40.0, 40.0, 39.0, 41.0, 80.0, 1e3 / 30, 0.5, 1e-300, 2.0**64]),
+                  st.floats(min_value=0.0, allow_infinity=False))
+
+
+class TestMedian:
+    @settings(max_examples=500)
+    @given(st.lists(_GAPS, min_size=1, max_size=60))
+    @example([40.0, 40.0])
+    @example([40.0, 40.5])
+    @example([0.0, 40.0, 40.0, 80.0, 1e3 / 30])
+    @example([1.7976931348623157e308, 1.7976931348623157e308])
+    def test_matches_numpy_median_bit_for_bit(self, gaps):
+        with np.errstate(over="ignore"):  # the sum of the middle two may overflow, in both
+            expected = float(np.median(np.array(gaps)))
+        assert ingest._median(np.array(gaps)).hex() == expected.hex()
+
+    def test_ingest_and_detect_leave_numpy_ma_out(self, tmp_path):
+        archive, out = tmp_path / "noise.csv", tmp_path / "out"
+        write_archive(archive, [generate(SynthSpec(tones=(ToneSpec(0.01, 0.52, damping=0.05),), dt=0.04,
+                                                   count=626, noise_snr_db=40, rng_seed=3))])
+        code = (
+            "import sys\n"
+            "from lfodetect import cli, make_windows, read_archive\n"
+            "assert len(make_windows(read_archive(sys.argv[1]))) == 1\n"
+            "assert cli.main(['detect', sys.argv[1], '--out-dir', sys.argv[2]]) in (0, 3)\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", code, str(archive), str(out)], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert (out / "run_manifest.json").is_file()
