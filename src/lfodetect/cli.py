@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, detector, emd, prony, signalgen, spectrum
-from .core import AnalysisConfig, Channel, EmptyBand, Severity, ValidationError
+from .core import AnalysisConfig, EmptyBand, Severity
 from .ingest import (
     DtMismatch,
     FileUnreadable,
@@ -58,19 +58,10 @@ class AnalysisFailure(RuntimeError):
     """An analysis error with the window identity attached."""
 
 
-_INPUT_ERRORS = (
-    InvalidSetting,
-    FileUnreadable,
-    SchemaMismatch,
-    DtMismatch,
-    ValidationError,
-    signalgen.InvalidSpec,
-    prony.OrderTooHigh,
-    prony.InsufficientExcitation,
-    prony.RootSolverDiverged,
-    argparse.ArgumentTypeError,
-    AnalysisFailure,
-)
+#: What can reach `main`: an error inside a window's analysis arrives as
+#: an AnalysisFailure, and OSError covers an unreadable input as well as an
+#: output path that cannot be made or written.
+_INPUT_ERRORS = (InvalidSetting, OSError, SchemaMismatch, DtMismatch, signalgen.InvalidSpec, AnalysisFailure)
 
 
 def _sha256(path: Path) -> str:
@@ -141,9 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--snr-db", type=float, default=None, help="white noise level relative to tone power")
     p_synth.add_argument("--noise-sigma", type=float, default=None, help="absolute white noise sigma (for noise-only archives)")
     p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--station", default="synthetic")
-    p_synth.add_argument("--channel", choices=[c.value for c in Channel], default=Channel.Frequency_Hz.value)
-    p_synth.add_argument("--t0-ms", type=int, default=0)
     p_synth.add_argument("--output", "-o", type=Path, required=True)
     p_synth.set_defaults(func=cmd_synth)
 
@@ -245,25 +233,34 @@ def _resolve_analysis(given: dict) -> AnalysisConfig:
     return AnalysisConfig(**fields)
 
 
-def _resolve_spectrum_band(given: dict) -> tuple[float, float] | None:
+def _resolve_detect(given: dict, policy: WindowingPolicy) -> AnalysisConfig:
+    cfg = _resolve_analysis(given)
+    if cfg.prony_order is not None:
+        detector.check_stability_order(policy.window_samples, cfg.prony_order)
+    spectrum.check_band_below_nyquist(cfg.emd_band_hz, 0.5 / policy.expected_dt)
+    return cfg
+
+
+def _resolve_spectrum_band(given: dict, policy: WindowingPolicy) -> tuple[float, float] | None:
     band = _resolve_band(given)
     if band is not None and not band[0] < band[1]:
         raise ValueError(f"band must satisfy low < high, got {band}")
     return band
 
 
-def _resolve_settings(args, resolve=_resolve_analysis):
-    """(policy, resolve(settings)) from flags, then the config file, then
-    the defaults; `resolve` turns the settings into the command's own
-    configuration.
+def _resolve_settings(args, resolve):
+    """(policy, resolve(settings, policy)) from flags, then the config
+    file, then the defaults; `resolve` turns the settings into the
+    command's own configuration and checks it against the policy.
 
     Raises:
         InvalidSetting: a value has the wrong type or is out of range.
     """
     given = _given(args)
     try:
-        return _resolve_policy(given), resolve(given)
-    except (TypeError, ValueError) as exc:
+        policy = _resolve_policy(given)
+        return policy, resolve(given, policy)
+    except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
         raise InvalidSetting(f"invalid setting: {exc}") from exc
 
 
@@ -332,9 +329,7 @@ def _run(args, command: str, policy, config: dict, analyse, finish=None) -> None
 def cmd_synth(args) -> int:
     tones = tuple(args.tone or ())
     if not tones and args.noise_sigma is None:
-        print("error: give at least one --tone (or --noise-sigma for a noise-only archive)",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidSetting("give at least one --tone (or --noise-sigma for a noise-only archive)")
     for flag, value in (("--dt", args.dt), ("--seconds", args.seconds)):
         if not (math.isfinite(value) and value > 0):
             raise InvalidSetting(f"invalid setting: {flag} must be positive and finite, got {value}")
@@ -353,9 +348,7 @@ def cmd_synth(args) -> int:
         rng_seed=args.seed,
     )
     try:
-        window = signalgen.generate(
-            spec, station_id=args.station, channel=Channel(args.channel), t0_ms=args.t0_ms
-        )
+        window = signalgen.generate(spec)
     except signalgen.InvalidSpec:
         raise
     except (MemoryError, ValueError) as exc:
@@ -388,28 +381,17 @@ def _write_imf_dump(path: Path, window, imf_set) -> None:
     _write_csv(path, ",".join(["time_s"] + names + ["residue"]), columns)
 
 
-def _check_band_below_nyquist(cfg: AnalysisConfig, policy: WindowingPolicy) -> None:
-    """Refuse an analysis band whose upper edge lies above the Nyquist
-    frequency of the windowing policy.
-
-    Raises:
-        InvalidSetting: the band's upper edge exceeds Nyquist.
-    """
-    hi, nyquist = cfg.emd_band_hz[1], 0.5 / policy.expected_dt
-    if hi > nyquist * (1.0 + 1e-12):  # the slack spectrum.find_peaks allows
-        raise InvalidSetting(f"invalid setting: band upper edge {hi} Hz exceeds Nyquist {nyquist} Hz")
-
-
 def cmd_analyze(args) -> int:
-    def resolve(given: dict) -> AnalysisConfig:
+    def resolve(given: dict, policy: WindowingPolicy) -> AnalysisConfig:
         # only the EMD band-pass reads the band
         if "band" in given and not args.emd:
             raise ValueError("band applies only with --emd")
-        return _resolve_analysis(given)
+        cfg = _resolve_analysis(given)
+        if args.emd:
+            spectrum.check_band_below_nyquist(cfg.emd_band_hz, 0.5 / policy.expected_dt)
+        return cfg
 
     policy, cfg = _resolve_settings(args, resolve)
-    if args.emd:
-        _check_band_below_nyquist(cfg, policy)
 
     def analyse(w, prefix):
         imf_set = emd.decompose(w) if args.emd or args.dump_imfs else None
@@ -436,13 +418,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    policy, cfg = _resolve_settings(args)
-    if cfg.prony_order is not None:
-        try:
-            detector.check_stability_order(policy.window_samples, cfg.prony_order)
-        except prony.OrderTooHigh as exc:
-            raise InvalidSetting(f"invalid setting: {exc}") from exc
-    _check_band_below_nyquist(cfg, policy)
+    policy, cfg = _resolve_settings(args, _resolve_detect)
     alarms = []
 
     def analyse(w, prefix):

@@ -222,6 +222,8 @@ def make_windows(
         TypeError: a record's timestamp_ms is not an int, or its value is
             neither None nor a real number (a str, say); the message names
             the stream, the field and the value.
+        ValueError: a record's timestamp_ms is an int outside int64; the
+            message names the stream, the field and the value.
         DtMismatch: a stream's median spacing deviates from expected_dt by
             more than 10%.
     """
@@ -250,6 +252,8 @@ def _typed_streams(records: Iterable[ArchiveRecord]) -> dict[tuple[str, Channel]
             stamps.append(ts)
         except TypeError:
             raise _bad_field(station, channel, "timestamp_ms", "an int", ts) from None
+        except OverflowError:
+            raise _bad_field(station, channel, "timestamp_ms", "an int within int64", ts, ValueError) from None
         try:
             values.append(nan if value is None else value)
         except TypeError:
@@ -257,8 +261,8 @@ def _typed_streams(records: Iterable[ArchiveRecord]) -> dict[tuple[str, Channel]
     return streams
 
 
-def _bad_field(station: str, channel: Channel, name: str, kind: str, value) -> TypeError:
-    return TypeError(f"stream {station}/{channel.value}: {name} must be {kind}, got {value!r}")
+def _bad_field(station: str, channel: Channel, name: str, kind: str, value, error=TypeError) -> Exception:
+    return error(f"stream {station}/{channel.value}: {name} must be {kind}, got {value!r}")
 
 
 def _stream_windows(

@@ -66,6 +66,9 @@ class SynthSpec:
             raise InvalidSpec("give either noise_snr_db or noise_sigma, not both")
         if self.noise_sigma is not None and self.noise_sigma < 0:
             raise InvalidSpec(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        # numpy's default_rng takes no negative seed
+        if self.rng_seed < 0:
+            raise InvalidSpec(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 def generate(

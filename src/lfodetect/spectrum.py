@@ -95,6 +95,19 @@ def _refine_peak(mags: np.ndarray, k: int, df: float) -> tuple[float, float]:
     return (k + delta) * df, magnitude
 
 
+def check_band_below_nyquist(band_hz: tuple[float, float], nyquist_hz: float) -> None:
+    """Refuse a band whose upper edge lies above nyquist_hz; a relative
+    slack of 1e-12 lets a band end at a Nyquist frequency computed another
+    way (0.5 / dt rather than from the bin width).
+
+    Raises:
+        ValueError: the band's upper edge exceeds nyquist_hz.
+    """
+    hi = band_hz[1]
+    if hi > nyquist_hz * (1.0 + 1e-12):
+        raise ValueError(f"band upper edge {hi} Hz exceeds Nyquist {nyquist_hz} Hz")
+
+
 def find_peaks(
     s: Spectrum,
     band_hz: tuple[float, float],
@@ -114,8 +127,7 @@ def find_peaks(
     lo, hi = band_hz
     if not (0.0 <= lo <= hi):
         raise ValueError(f"band must satisfy 0 <= low <= high, got {band_hz}")
-    if hi > s.nyquist_hz * (1.0 + 1e-12):
-        raise ValueError(f"band upper edge {hi} Hz exceeds Nyquist {s.nyquist_hz} Hz")
+    check_band_below_nyquist(band_hz, s.nyquist_hz)
     if max_peaks < 1:
         raise ValueError("max_peaks must be positive")
 

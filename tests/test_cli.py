@@ -573,6 +573,56 @@ class TestBadConfig:
         assert not (tmp_path / "o").exists()
 
 
+class TestExitCodeContract:
+    """Every input error that reaches `main` exits 2 with one `error: ` line
+    on stderr and no traceback. `{archive}` is a one-window archive,
+    `{file}` a regular file and `{tmp}` the test's directory."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["detect", "{archive}", "--config", "{tmp}/missing.json"], "cannot open config"),
+            (["detect", "{archive}", "--config", "{tmp}/array.json"], "must hold a JSON object"),
+            (["analyze", "{archive}", "--out-dir", "{file}"], "File exists"),
+            (["detect", "{archive}", "--out-dir", "{file}"], "File exists"),
+            (["spectrum", "{archive}", "--out-dir", "{file}"], "File exists"),
+            (["detect", "{archive}", "--out-dir", "{file}/sub"], "Not a directory"),
+            (["synth", "--tone", "0.1,0.52", "-o", "{file}/x.csv"], "File exists"),
+            (["synth", "--tone", "0.1,0.52", "--snr-db", "40", "--seed", "-1", "-o", "{tmp}/neg.csv"],
+             "rng_seed must be >= 0, got -1"),
+            # an error inside a window's analysis names the window
+            (["analyze", "{archive}", "--order", "300"], "error: synthetic_Frequency_Hz_0: "),
+            # 1e308 and -1e308 around a one-sample gap interpolate to -inf
+            (["detect", "{huge}"], "error: synthetic_Frequency_Hz_0: sample 101 is not finite"),
+        ],
+        ids=["missing-config", "config-json-array", "analyze-out-dir-is-file", "detect-out-dir-is-file",
+             "spectrum-out-dir-is-file", "out-dir-under-file", "synth-output-under-file", "synth-negative-seed",
+             "order-too-high-names-window", "interpolated-sample-not-finite"],
+    )
+    def test_input_error_exits_2_with_one_line(self, tmp_path, capsys, argv, message):
+        archive = tmp_path / "a.csv"
+        run("synth", "--tone", "1,0.7", "--seconds", "25.04", "-o", archive)
+        lines = archive.read_text().splitlines(keepends=True)
+        # samples 100 and 102 sit on lines 101 and 103; sample 101 is missing
+        lines[101] = lines[101].rsplit(",", 1)[0] + ",1e308\n"
+        lines[103] = lines[103].rsplit(",", 1)[0] + ",-1e308\n"
+        del lines[102]
+        (tmp_path / "huge.csv").write_text("".join(lines))
+        (tmp_path / "array.json").write_text("[]")
+        (tmp_path / "file").write_text("")
+        capsys.readouterr()
+        names = {"archive": archive, "file": tmp_path / "file", "tmp": tmp_path, "huge": tmp_path / "huge.csv"}
+        argv = [arg.format(**names) for arg in argv]
+        if argv[0] != "synth" and "--out-dir" not in argv:
+            argv += ["--out-dir", str(tmp_path / "o")]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert message in err
+        assert not (tmp_path / "neg.csv").exists()
+
+
 class TestAtomicWrite:
     """Every case runs through `_atomic_write` here and through
     `write_archive` in the subclass below."""

@@ -328,6 +328,12 @@ class TestMakeWindows:
         with pytest.raises(TypeError, match=rf"^stream s1/Frequency_Hz: {field} must be .*, got {shown}$"):
             make_windows(records, WindowingPolicy())
 
+    @pytest.mark.parametrize("ts", [2**63, -(2**63) - 1])
+    def test_timestamp_outside_int64_named(self, ts):
+        records = _clean_records(700) + [ArchiveRecord(ts, "s1", Channel.Frequency_Hz, 1.0)]
+        with pytest.raises(ValueError, match=rf"^stream s1/Frequency_Hz: timestamp_ms must be an int within int64, got {ts}$"):
+            make_windows(records, WindowingPolicy())
+
     def test_span_past_int64_matches_reference(self):
         # the last stamp lies more than 2**63 ms after the first
         dt = 1.1e15

@@ -148,6 +148,11 @@ class TestInvalidSpecs:
         with pytest.raises(InvalidSpec):
             SynthSpec(tones=(ToneSpec(1.0, 1.0),), dt=0.04, count=100, noise_snr_db=30, noise_sigma=1.0)
 
+    def test_negative_seed(self):
+        # numpy's default_rng refuses it, but only once noise is drawn
+        with pytest.raises(InvalidSpec, match=r"^rng_seed must be >= 0, got -1$"):
+            SynthSpec(tones=(ToneSpec(1.0, 1.0),), dt=0.04, count=100, rng_seed=-1)
+
     def test_negative_amplitude_tone(self):
         with pytest.raises(InvalidSpec):
             ToneSpec(-1.0, 1.0)
