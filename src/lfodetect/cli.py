@@ -44,8 +44,8 @@ _POLICY_KEYS = ("window_seconds", "stride_seconds", "expected_dt", "max_gap_frac
 #: Keys each command's --config file may set: the settings the command
 #: reads. Any other key is most likely a typo.
 _CONFIG_KEYS = {
-    "analyze": frozenset(_POLICY_KEYS + ("order", "band", "min_amplitude_fraction")),
-    "detect": frozenset(_POLICY_KEYS + ("order", "band", "match_tolerance", "min_amplitude_fraction")),
+    "analyze": frozenset(_POLICY_KEYS + ("order", "band")),
+    "detect": frozenset(_POLICY_KEYS + ("order", "band")),
     "spectrum": frozenset(_POLICY_KEYS + ("band",)),
 }
 
@@ -107,10 +107,8 @@ def _add_windowing_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
-    floor = AnalysisConfig.min_mode_amplitude_fraction
     parser.add_argument("--order", type=int, default=None, help="prediction model order (default: automatic)")
     parser.add_argument("--band", type=_parse_band, default=None, metavar="LO,HI", help="analysis band in Hz (default %s,%s)" % AnalysisConfig.emd_band_hz)
-    parser.add_argument("--min-amplitude-fraction", type=float, default=None, help=f"relative amplitude floor for modes (default {floor:g})")
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -150,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_windowing_flags(p_detect)
     _add_analysis_flags(p_detect)
     _add_common_flags(p_detect)
-    p_detect.add_argument("--match-tolerance", type=float, default=None, help="mode/peak match tolerance in Hz (default: automatic)")
     p_detect.set_defaults(func=cmd_detect)
 
     p_spectrum = sub.add_parser("spectrum", help="per-window spectrum CSVs")
@@ -224,12 +221,8 @@ def _resolve_analysis(given: dict) -> AnalysisConfig:
     band = _resolve_band(given)
     if band is not None:
         fields["emd_band_hz"] = band
-    if given.get("order") not in (None, "auto"):
+    if given.get("order") is not None:
         fields["prony_order"] = _whole_number("order", given["order"])
-    if given.get("match_tolerance") not in (None, "auto"):
-        fields["match_tolerance_hz"] = _number("match_tolerance", given["match_tolerance"])
-    if "min_amplitude_fraction" in given:
-        fields["min_mode_amplitude_fraction"] = _number("min_amplitude_fraction", given["min_amplitude_fraction"])
     return AnalysisConfig(**fields)
 
 
@@ -237,6 +230,7 @@ def _resolve_detect(given: dict, policy: WindowingPolicy) -> AnalysisConfig:
     cfg = _resolve_analysis(given)
     if cfg.prony_order is not None:
         detector.check_stability_order(policy.window_samples, cfg.prony_order)
+        prony.check_order(policy.window_samples, cfg.prony_order)
     spectrum.check_band_below_nyquist(cfg.emd_band_hz, 0.5 / policy.expected_dt)
     return cfg
 
@@ -270,12 +264,7 @@ def _window_prefix(w) -> str:
 
 def _analysis_record(cfg: AnalysisConfig) -> dict:
     """The manifest's record of an analysis command's resolved settings."""
-    return {
-        "prony_order": cfg.prony_order,
-        "band_hz": list(cfg.emd_band_hz),
-        "match_tolerance_hz": cfg.match_tolerance_hz,
-        "min_mode_amplitude_fraction": cfg.min_mode_amplitude_fraction,
-    }
+    return {"prony_order": cfg.prony_order, "band_hz": list(cfg.emd_band_hz)}
 
 
 def _manifest(command: str, policy, config: dict, archive: Path, entries, diagnostics, report, extra) -> dict:
@@ -387,6 +376,8 @@ def cmd_analyze(args) -> int:
         if "band" in given and not args.emd:
             raise ValueError("band applies only with --emd")
         cfg = _resolve_analysis(given)
+        if cfg.prony_order is not None:
+            prony.check_order(policy.window_samples, cfg.prony_order)
         if args.emd:
             spectrum.check_band_below_nyquist(cfg.emd_band_hz, 0.5 / policy.expected_dt)
         return cfg

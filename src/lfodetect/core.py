@@ -264,7 +264,7 @@ class AlarmEvent:
     """A cross-validated, classified oscillation finding for the operator.
 
     An alarm only exists when an estimated mode and a spectral peak agree
-    in frequency within the configured match tolerance.
+    in frequency within the detector's match tolerance.
     """
 
     station_id: str
@@ -324,20 +324,16 @@ def max_order(count: int) -> int:
 @dataclass(frozen=True)
 class AnalysisConfig:
     """The pipeline's settable tuning values. The fixed parts of the recipe
-    are constants beside the stage that uses them (emd, detector).
+    are constants beside the stage that uses them (prony, emd, detector).
 
     prony_order None means automatic: min(max_order(count), 60), honoring the
     rule that the sample count should be at least three times the order.
     The generous ceiling matters in noise: surplus poles absorb the noise
     that otherwise biases damping estimates of the real modes.
-    match_tolerance_hz None means automatic: max(1/window_duration, 0.05),
-    i.e. never finer than the Rayleigh limit of the window.
     """
 
     prony_order: int | None = None
     emd_band_hz: tuple[float, float] = (0.1, 2.0)
-    match_tolerance_hz: float | None = None
-    min_mode_amplitude_fraction: float = 0.02
     #: Fixed, not a field: an alarm mode decaying slower than this (1/s)
     #: still rates Warning.
     slow_decay_threshold: ClassVar[float] = 0.05
@@ -349,17 +345,8 @@ class AnalysisConfig:
         object.__setattr__(self, "emd_band_hz", (float(lo), float(hi)))
         if self.prony_order is not None and self.prony_order < 1:
             raise ValueError("prony_order must be positive")
-        if self.match_tolerance_hz is not None and not 0 < self.match_tolerance_hz < math.inf:
-            raise ValueError(f"match_tolerance_hz must be positive and finite, got {self.match_tolerance_hz}")
-        if not (0 <= self.min_mode_amplitude_fraction < 1):
-            raise ValueError("min_mode_amplitude_fraction must lie in [0, 1)")
 
     def resolve_order(self, count: int) -> int:
         if self.prony_order is not None:
             return self.prony_order
         return max(1, min(max_order(count), 60))
-
-    def resolve_match_tolerance(self, duration_s: float) -> float:
-        if self.match_tolerance_hz is not None:
-            return self.match_tolerance_hz
-        return max(1.0 / duration_s, 0.05)

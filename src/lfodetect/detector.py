@@ -5,9 +5,9 @@ spectral peak picking on the same filtered signal, then frequency matching
 across the two methods. Only modes confirmed by both routes raise alarms,
 which keeps single-method artifacts away from the operator.
 
-Three additional gates suppress alarms on noise and on band-pass leakage.
-They are fixed parts of the method, so their thresholds are the module
-constants below, not AnalysisConfig fields:
+Three more gates suppress alarms on noise and on band-pass leakage. They
+and the match tolerance are fixed parts of the method, so their thresholds
+are the module constants below, not AnalysisConfig fields:
   * the whole fit must reconstruct the filtered window reasonably
     (fit_quality >= MIN_FIT_QUALITY);
   * a candidate mode must persist in independent fits of the two window
@@ -53,6 +53,10 @@ MAX_FFT_PEAKS = 10
 #: Spectral peaks below this fraction of the band maximum are ignored.
 FFT_PEAK_MIN_FRACTION = 0.1
 
+#: A mode and a peak match within the window's Rayleigh limit, 1/duration,
+#: but never within less than this (Hz).
+MATCH_TOLERANCE_FLOOR_HZ = 0.05
+
 
 @dataclass(frozen=True, eq=False)
 class DetectionReport:
@@ -95,8 +99,8 @@ def match_modes(
     unused peak within tol_hz (ties broken toward the lower-frequency
     peak). Deterministic, each peak used at most once.
     """
-    if tol_hz <= 0:
-        raise ValueError(f"tol_hz must be positive, got {tol_hz}")
+    if not 0 < tol_hz < float("inf"):
+        raise ValueError(f"tol_hz must be positive and finite, got {tol_hz}")
     ordered = sorted(prony_modes, key=lambda m: (-m.energy_fraction, m.frequency))
     available = list(peaks)
     pairs: list[tuple[PronyMode, SpectrumPeak]] = []
@@ -162,7 +166,7 @@ def _stable_modes(bp: SampleWindow, modes, cfg: AnalysisConfig):
     except (prony.OrderTooHigh, prony.InsufficientExcitation, prony.RootSolverDiverged):
         return modes
     # half windows cannot resolve finer than twice the full-window limit
-    tol = max(2.0 / bp.duration, cfg.resolve_match_tolerance(bp.duration))
+    tol = max(2.0 / bp.duration, MATCH_TOLERANCE_FLOOR_HZ)
     stable = []
     for mode in modes:
         in_first = any(abs(m.frequency - mode.frequency) <= tol for m in first.modes)
@@ -217,8 +221,7 @@ def detect(w: SampleWindow, cfg: AnalysisConfig | None = None) -> DetectionRepor
     if fit.fit_quality < MIN_FIT_QUALITY:
         candidates = ()
 
-    tol = cfg.resolve_match_tolerance(w.duration)
-    pairs = match_modes(candidates, peaks, tol)
+    pairs = match_modes(candidates, peaks, max(1.0 / w.duration, MATCH_TOLERANCE_FLOOR_HZ))
 
     alarms = []
     for mode, peak in pairs:

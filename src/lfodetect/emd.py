@@ -58,6 +58,10 @@ SIFT_SD_THRESHOLD = 0.2
 #: dust left over from envelope subtraction, not a real oscillation.
 _DUST_FRACTION = 1e-12
 
+#: In-band IMFs whose peak is below this fraction of the window's peak are
+#: not band content: sifting leaks percent-level fragments across scales.
+MIN_IMF_AMPLITUDE_FRACTION = 0.02
+
 @dataclass(frozen=True, eq=False)
 class Imf:
     """One intrinsic mode function plus its zero-crossing mean frequency."""
@@ -323,16 +327,16 @@ def select_band(
     lies inside cfg.emd_band_hz (inclusive bounds), as their indices and
     as the window holding their sum. The residue is always excluded.
 
-    IMFs below cfg.min_mode_amplitude_fraction of the input peak are
-    ignored: sifting leaks percent-level fragments across scales, and
-    treating those as band content would turn an empty band into noise.
+    IMFs below MIN_IMF_AMPLITUDE_FRACTION of the input peak are ignored:
+    treating sifting's leaked fragments as band content would turn an
+    empty band into noise.
 
     Raises:
         EmptyBand: no material IMF falls in the band, i.e. nothing to analyze.
     """
     cfg = cfg or AnalysisConfig()
     lo, hi = cfg.emd_band_hz
-    floor = cfg.min_mode_amplitude_fraction * float(np.max(np.abs(w.samples)))
+    floor = MIN_IMF_AMPLITUDE_FRACTION * float(np.max(np.abs(w.samples)))
     keep = tuple(
         i
         for i, imf in enumerate(imf_set.imfs)

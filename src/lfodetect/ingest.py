@@ -222,8 +222,9 @@ def make_windows(
         TypeError: a record's timestamp_ms is not an int, or its value is
             neither None nor a real number (a str, say); the message names
             the stream, the field and the value.
-        ValueError: a record's timestamp_ms is an int outside int64; the
-            message names the stream, the field and the value.
+        ValueError: a record's timestamp_ms is an int outside int64, or its
+            value an int past float range; the message names the stream,
+            the field and the value.
         DtMismatch: a stream's median spacing deviates from expected_dt by
             more than 10%.
     """
@@ -258,6 +259,8 @@ def _typed_streams(records: Iterable[ArchiveRecord]) -> dict[tuple[str, Channel]
             values.append(nan if value is None else value)
         except TypeError:
             raise _bad_field(station, channel, "value", "None or a real number", value) from None
+        except OverflowError:
+            raise _bad_field(station, channel, "value", "within float range", value, ValueError) from None
     return streams
 
 

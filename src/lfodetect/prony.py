@@ -54,6 +54,12 @@ MAX_DAMPING_DURATION = 20.0
 #: Condition-number estimate above which amplitude results are flagged.
 ILL_CONDITION_LIMIT = 1e12
 
+#: Modes below this fraction of the strongest mode's amplitude are dropped.
+MIN_MODE_AMPLITUDE_FRACTION = 0.02
+
+#: Most a root and its conjugate partner may differ, relative to 1 + |z|.
+_PAIR_TOLERANCE = 1e-6
+
 _RESIDUAL_FACTOR = 1e-8
 
 _SQRT2 = math.sqrt(2.0)
@@ -71,6 +77,12 @@ class RootSolverDiverged(RuntimeError):
     """A computed root leaves a residual above tolerance."""
 
 
+def check_order(count: int, order: int) -> None:
+    """Raise OrderTooHigh unless `count` samples support `order` (count >= 3 * order)."""
+    if order > max_order(count):
+        raise OrderTooHigh(f"{count} samples cannot support order {order} (need >= {3 * order})")
+
+
 def fit_lpm(w: SampleWindow, order: int) -> np.ndarray:
     """Least-squares coefficients a_1..a_N of the linear prediction model
     y[m] = a_1*y[m-1] + ... + a_N*y[m-N] over m = N..count-1.
@@ -84,8 +96,7 @@ def fit_lpm(w: SampleWindow, order: int) -> np.ndarray:
         raise ValueError(f"order must be >= 1, got {order}")
     y = w.samples
     count = y.size
-    if order > max_order(count):
-        raise OrderTooHigh(f"{count} samples cannot support order {order} (need >= {3 * order})")
+    check_order(count, order)
     # row m holds y[m], ..., y[m+N-1] (the design, oldest sample first, so
     # it solves for a_N..a_1) and then y[m+N] (the target). R of this
     # augmented matrix holds R of the design and, in its last column,
@@ -105,7 +116,7 @@ def fit_lpm(w: SampleWindow, order: int) -> np.ndarray:
     return coeffs[::-1]
 
 
-def _group_roots(roots, pair_tol: float = 1e-6) -> np.ndarray:
+def _group_roots(roots) -> np.ndarray:
     """One representative per root group of a conjugate-closed root list.
 
     Numerically real roots (|Im z| <= 1e-8 * (1 + |z|)) come first as exact
@@ -117,7 +128,7 @@ def _group_roots(roots, pair_tol: float = 1e-6) -> np.ndarray:
     Raises:
         ValueError: a zero root (it has no logarithm, hence no mode), or a
             complex root without a conjugate partner within
-            pair_tol * (1 + |z|).
+            _PAIR_TOLERANCE * (1 + |z|).
     """
     rts = np.asarray(roots, dtype=complex).ravel()
     if np.any(rts == 0):
@@ -126,7 +137,7 @@ def _group_roots(roots, pair_tol: float = 1e-6) -> np.ndarray:
     real = np.abs(rts.imag) <= 1e-8 * scale
     upper = np.sort_complex(rts[~real & (rts.imag > 0)])
     lower = np.sort_complex(np.conj(rts[~real & (rts.imag < 0)]))
-    if upper.size != lower.size or np.any(np.abs(upper - lower) > pair_tol * (1.0 + np.abs(upper))):
+    if upper.size != lower.size or np.any(np.abs(upper - lower) > _PAIR_TOLERANCE * (1.0 + np.abs(upper))):
         raise ValueError("complex characteristic roots must come in conjugate pairs")
     return np.concatenate((np.sort(rts[real].real).astype(complex), 0.5 * (upper + lower)))
 
@@ -223,9 +234,9 @@ def prony_analyze(w: SampleWindow, cfg: AnalysisConfig | None = None) -> PronyFi
     """Full decomposition of a (typically band-passed) window.
 
     Chains fit_lpm -> characteristic_roots -> roots_to_modes ->
-    solve_amplitudes, discards damping artifacts and modes below the
-    relative amplitude floor, sorts by energy share, and grades the result
-    by reconstruction error.
+    solve_amplitudes, discards damping artifacts and modes below
+    MIN_MODE_AMPLITUDE_FRACTION of the strongest, sorts by energy share,
+    and grades the result by reconstruction error.
     """
     cfg = cfg or AnalysisConfig()
     validate_window(w)
@@ -252,7 +263,7 @@ def prony_analyze(w: SampleWindow, cfg: AnalysisConfig | None = None) -> PronyFi
         for (sigma, freq), (amp, phase) in zip(sigma_freq, amp_phase)
     ]
     if raw:
-        floor = cfg.min_mode_amplitude_fraction * max(amp for amp, *_ in raw)
+        floor = MIN_MODE_AMPLITUDE_FRACTION * max(amp for amp, *_ in raw)
         raw = [m for m in raw if m[0] >= floor]
 
     signals = mode_matrix(raw, y.size, w.dt)

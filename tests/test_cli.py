@@ -57,6 +57,26 @@ class TestSynth:
         assert run("synth", "--tone", "nonsense", "-o", tmp_path / "a.csv") == 2
 
     @pytest.mark.parametrize(
+        "tone, message",
+        [("a,b", "bad tone 'a,b'"), ("-1,0.5", "amplitude must be >= 0, got -1.0")],
+        ids=["not-a-number", "negative-amplitude"],
+    )
+    def test_bad_tone_value_is_usage_error(self, tmp_path, capsys, tone, message):
+        out = tmp_path / "a.csv"
+        assert run("synth", f"--tone={tone}", "-o", out) == 2
+        err = capsys.readouterr().err
+        assert "argument --tone: " + message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_snr_of_silent_tones_is_input_error(self, tmp_path, capsys):
+        # the spec's own error, not the out-of-memory message its ValueError base would get
+        out = tmp_path / "a.csv"
+        assert run("synth", "--tone", "0,0.5", "--snr-db", "20", "-o", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: noise_snr_db needs a nonzero tone sum") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "flag, value",
         [("--dt", "0"), ("--dt", "nan"), ("--dt", "-0.04"), ("--seconds", "nan"), ("--seconds", "inf"),
          ("--seconds", "1e308"), ("--dt", "1e-320"),
@@ -265,10 +285,10 @@ class TestManifest:
         [
             (None, [], WindowingPolicy(), AnalysisConfig()),
             (
-                {"window_seconds": 20, "stride_seconds": 4, "min_amplitude_fraction": 0.05},
-                ["--window-seconds", "15", "--min-amplitude-fraction", "0.03"],
+                {"window_seconds": 20, "stride_seconds": 4, "order": 30},
+                ["--window-seconds", "15", "--order", "20"],
                 WindowingPolicy(window_seconds=15.0, stride_seconds=4.0),
-                AnalysisConfig(min_mode_amplitude_fraction=0.03),
+                AnalysisConfig(prony_order=20),
             ),
         ],
         ids=["defaults", "flag-overrides-config"],
@@ -282,12 +302,9 @@ class TestManifest:
         run("detect", growing_archive, "--out-dir", out, *flags)
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["windowing"] == dataclasses.asdict(policy)
-        assert manifest["config"] == {
-            "prony_order": cfg.prony_order,
-            "band_hz": list(cfg.emd_band_hz),
-            "match_tolerance_hz": cfg.match_tolerance_hz,
-            "min_mode_amplitude_fraction": cfg.min_mode_amplitude_fraction,
-        }
+        # only settings that can be set: the match tolerance and the
+        # amplitude floors are constants of the method
+        assert manifest["config"] == {"prony_order": cfg.prony_order, "band_hz": list(cfg.emd_band_hz)}
 
     @pytest.mark.parametrize(
         "settings, flags, config",
@@ -501,6 +518,24 @@ class TestBadConfig:
         assert "unrecognized arguments: --match-tolerance 0.1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("detect", ["--match-tolerance", "nan"]),
+            ("detect", ["--match-tolerance", "inf"]),
+            ("detect", ["--match-tolerance", "0.1"]),
+            ("detect", ["--min-amplitude-fraction", "0.1"]),
+            ("analyze", ["--min-amplitude-fraction", "0.1"]),
+        ],
+        ids=["match-tolerance-nan", "match-tolerance-inf", "match-tolerance", "detect-min-amplitude-fraction",
+             "analyze-min-amplitude-fraction"],
+    )
+    def test_fixed_rule_has_no_flag(self, growing_archive, tmp_path, capsys, command, flags):
+        # the match tolerance and the amplitude floors are constants of the method
+        assert run(command, growing_archive, "--out-dir", tmp_path / "o", *flags) == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_band_ending_at_nyquist_runs(self, growing_archive, tmp_path):
         assert run("detect", growing_archive, "--out-dir", tmp_path / "o", "--band", "0.1,12.5") == 3
         assert (tmp_path / "o" / "alarms.jsonl").read_text()
@@ -522,14 +557,23 @@ class TestBadConfig:
             ("detect", ["--window-seconds", "inf"], None, "window_seconds must be finite, got inf"),
             ("spectrum", ["--stride-seconds", "nan"], None, "stride_seconds must be finite, got nan"),
             ("detect", [], {"expected_dt": "nan"}, "expected_dt must be finite, got nan"),
-            ("detect", ["--match-tolerance", "nan"], None, "match_tolerance_hz must be positive and finite"),
-            ("detect", ["--match-tolerance", "inf"], None, "match_tolerance_hz must be positive and finite"),
             ("detect", [], {"order": 3.7}, "order must be a whole number, got 3.7"),
             ("analyze", [], {"order": 3.7}, "order must be a whole number, got 3.7"),
             ("detect", [], {"order": True}, "order must be a whole number, got true"),
             ("detect", [], {"window_seconds": True}, "window_seconds must be a number, got true"),
-            ("detect", [], {"match_tolerance": False}, "match_tolerance must be a number, got false"),
-            ("detect", [], {"min_amplitude_fraction": True}, "min_amplitude_fraction must be a number, got true"),
+            # fixed rules, not settings
+            ("detect", [], {"match_tolerance": False}, "unknown key(s): match_tolerance"),
+            ("detect", [], {"min_amplitude_fraction": True}, "unknown key(s): min_amplitude_fraction"),
+            ("detect", [], {"match_tolerance": "auto"}, "unknown key(s): match_tolerance"),
+            ("analyze", [], {"min_amplitude_fraction": 0.1}, "unknown key(s): min_amplitude_fraction"),
+            # leaving order out, or null, means automatic; no other spelling does
+            ("detect", [], {"order": "auto"}, "'auto'"),
+            # a window of 626 samples supports orders up to 208
+            ("analyze", ["--order", "300"], None, "626 samples cannot support order 300 (need >= 900)"),
+            ("analyze", ["--emd"], {"order": 209}, "626 samples cannot support order 209 (need >= 627)"),
+            # 21-sample windows are too short for the half-window refits, not for the full fit's limit
+            ("detect", ["--window-seconds", "0.8", "--stride-seconds", "0.8", "--order", "8"], None,
+             "21 samples cannot support order 8 (need >= 24)"),
             ("spectrum", [], {"band": [True, 2]}, "band must be a number, got true"),
             ("detect", ["--band", "0.1,20"], None, "band upper edge 20.0 Hz exceeds Nyquist 12.5 Hz"),
             ("detect", ["--band", "0.1,inf"], None, "band upper edge inf Hz exceeds Nyquist 12.5 Hz"),
@@ -549,9 +593,12 @@ class TestBadConfig:
              "spectrum-config-three-band-edges", "stride-over-window",
              "jobs-config-key", "order-not-int", "unknown-key",
              "expected-dt-nan", "expected-dt-inf", "window-seconds-inf", "spectrum-stride-seconds-nan",
-             "config-expected-dt-nan", "match-tolerance-nan", "match-tolerance-inf",
+             "config-expected-dt-nan",
              "order-fraction", "analyze-order-fraction", "order-boolean", "window-seconds-boolean",
-             "match-tolerance-boolean", "min-amplitude-fraction-boolean", "spectrum-config-boolean-band-edge",
+             "match-tolerance-boolean", "min-amplitude-fraction-boolean", "match-tolerance-auto",
+             "analyze-config-min-amplitude-fraction", "order-auto", "analyze-order-above-window-limit",
+             "analyze-config-order-above-window-limit", "detect-order-above-short-window-limit",
+             "spectrum-config-boolean-band-edge",
              "band-above-nyquist", "band-to-infinity", "config-band-above-nyquist",
              "window-of-three-samples", "spectrum-window-of-three-samples",
              "spectrum-config-analysis-keys", "spectrum-config-min-amplitude-fraction",
@@ -590,14 +637,13 @@ class TestExitCodeContract:
             (["synth", "--tone", "0.1,0.52", "-o", "{file}/x.csv"], "File exists"),
             (["synth", "--tone", "0.1,0.52", "--snr-db", "40", "--seed", "-1", "-o", "{tmp}/neg.csv"],
              "rng_seed must be >= 0, got -1"),
-            # an error inside a window's analysis names the window
-            (["analyze", "{archive}", "--order", "300"], "error: synthetic_Frequency_Hz_0: "),
+            # an error inside a window's analysis names the window:
             # 1e308 and -1e308 around a one-sample gap interpolate to -inf
             (["detect", "{huge}"], "error: synthetic_Frequency_Hz_0: sample 101 is not finite"),
         ],
         ids=["missing-config", "config-json-array", "analyze-out-dir-is-file", "detect-out-dir-is-file",
              "spectrum-out-dir-is-file", "out-dir-under-file", "synth-output-under-file", "synth-negative-seed",
-             "order-too-high-names-window", "interpolated-sample-not-finite"],
+             "interpolated-sample-not-finite"],
     )
     def test_input_error_exits_2_with_one_line(self, tmp_path, capsys, argv, message):
         archive = tmp_path / "a.csv"

@@ -129,12 +129,13 @@ class TestModeBands:
 
 class TestAnalysisConfig:
     def test_defaults(self):
-        from lfodetect import detector, emd
+        from lfodetect import detector, emd, prony
 
         cfg = AnalysisConfig()
         assert cfg.emd_band_hz == (0.1, 2.0)
-        assert cfg.min_mode_amplitude_fraction == 0.02
         # the fixed parts of the recipe are constants beside their stage
+        assert prony.MIN_MODE_AMPLITUDE_FRACTION == 0.02
+        assert emd.MIN_IMF_AMPLITUDE_FRACTION == 0.02
         assert emd.MAX_SIFT_ITERATIONS == 50
         assert emd.SIFT_SD_THRESHOLD == 0.2
         assert detector.MIN_FIT_QUALITY == 0.5
@@ -145,13 +146,16 @@ class TestAnalysisConfig:
         assert [f.name for f in dataclasses.fields(AnalysisConfig)] == [
             "prony_order",
             "emd_band_hz",
-            "match_tolerance_hz",
-            "min_mode_amplitude_fraction",
         ]
         # a fixed gate, read from the class but not settable
         assert AnalysisConfig().slow_decay_threshold == 0.05
         with pytest.raises(TypeError):
             AnalysisConfig(slow_decay_threshold=0.1)
+        # the match tolerance and the amplitude floors are detector, prony
+        # and emd constants
+        for name, value in (("match_tolerance_hz", 0.1), ("min_mode_amplitude_fraction", 0.03)):
+            with pytest.raises(TypeError):
+                AnalysisConfig(**{name: value})
 
     def test_bad_band(self):
         with pytest.raises(ValueError):
@@ -166,16 +170,21 @@ class TestAnalysisConfig:
         assert cfg.resolve_order(12) == 4
         assert AnalysisConfig(prony_order=8).resolve_order(625) == 8
 
-    def test_match_tolerance_auto(self):
-        cfg = AnalysisConfig()
-        # 25 s window: Rayleigh limit 0.04 Hz, floor 0.05 wins
-        assert cfg.resolve_match_tolerance(24.96) == pytest.approx(0.05)
-        # short window: Rayleigh limit wins
-        assert cfg.resolve_match_tolerance(10.0) == pytest.approx(0.1)
-        assert AnalysisConfig(match_tolerance_hz=0.02).resolve_match_tolerance(25.0) == 0.02
+    def test_match_tolerance_auto(self, monkeypatch):
+        # the detector matches within the window's Rayleigh limit, never
+        # finer than detector.MATCH_TOLERANCE_FLOOR_HZ
+        from lfodetect import SynthSpec, ToneSpec, detector, generate
 
-    @pytest.mark.parametrize("tolerance", [0.0, -0.1, math.nan, math.inf])
-    def test_match_tolerance_must_be_positive_and_finite(self, tolerance):
-        # a NaN tolerance would pair any mode with any peak (dist > nan is False)
-        with pytest.raises(ValueError, match="positive and finite"):
-            AnalysisConfig(match_tolerance_hz=tolerance)
+        tolerances = []
+        real = detector.match_modes
+
+        def spy(modes, peaks, tol_hz):
+            tolerances.append(tol_hz)
+            return real(modes, peaks, tol_hz)
+
+        monkeypatch.setattr(detector, "match_modes", spy)
+        # 24.96 s window: Rayleigh limit 0.04 Hz, floor 0.05 wins;
+        # 10 s window: Rayleigh limit wins
+        for count in (625, 251):
+            assert detector.detect(generate(SynthSpec(tones=(ToneSpec(0.1, 0.52),), dt=0.04, count=count))).alarms
+        assert tolerances == [pytest.approx(0.05), pytest.approx(0.1)]

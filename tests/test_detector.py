@@ -90,6 +90,12 @@ class TestMatchModes:
         with pytest.raises(ValueError):
             match_modes([], [], 0.0)
 
+    @pytest.mark.parametrize("tolerance", [0.0, -0.1, float("inf"), float("nan")])
+    def test_tolerance_must_be_positive_and_finite(self, tolerance):
+        # a NaN or infinite tolerance would pair any mode with any peak
+        with pytest.raises(ValueError, match="positive and finite"):
+            match_modes([_mode(0.5)], [_peak(7.0)], tolerance)
+
 
 class TestDetect:
     def test_growing_interarea_mode_is_critical(self):
@@ -230,3 +236,22 @@ def test_growing_control_mode_is_warning():
     assert alarm.classes == {ModeClass.Control}
     assert alarm.growing is True
     assert alarm.severity is Severity.Warning
+
+
+@pytest.mark.parametrize("frequency, classes", [(9.0, frozenset()), (4.0, {ModeClass.Control})], ids=["gap", "control"])
+def test_match_in_classification_gap_raises_no_alarm(frequency, classes):
+    """A mode and a peak that agree inside a classification gap, (8, 10]
+    Hz, pair up but raise no alarm; the same growing tone in the Control
+    band does."""
+    from lfodetect import CONTROL_HUNT_BAND
+
+    w = generate(SynthSpec(tones=(ToneSpec(0.1, frequency, damping=0.05),), dt=0.04, count=626,
+                           noise_snr_db=40, rng_seed=1))
+    report = detect(w, AnalysisConfig(emd_band_hz=CONTROL_HUNT_BAND))
+    (mode,) = report.prony_fit.modes
+    (peak,) = report.fft_peaks
+    assert abs(mode.frequency - frequency) < 0.01 and abs(peak.frequency - frequency) < 0.01
+    # matched: neither is left over
+    assert report.unmatched_prony == () and report.unmatched_fft == ()
+    assert classify(0.5 * (mode.frequency + peak.frequency)) == frozenset(classes)
+    assert [a.classes for a in report.alarms] == ([classes] if classes else [])

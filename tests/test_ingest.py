@@ -334,6 +334,11 @@ class TestMakeWindows:
         with pytest.raises(ValueError, match=rf"^stream s1/Frequency_Hz: timestamp_ms must be an int within int64, got {ts}$"):
             make_windows(records, WindowingPolicy())
 
+    def test_value_past_float_range_named(self):
+        records = _clean_records(700) + [ArchiveRecord(0, "s1", Channel.Frequency_Hz, 10**400)]
+        with pytest.raises(ValueError, match=r"^stream s1/Frequency_Hz: value must be within float range, got 1000"):
+            make_windows(records, WindowingPolicy())
+
     def test_span_past_int64_matches_reference(self):
         # the last stamp lies more than 2**63 ms after the first
         dt = 1.1e15
