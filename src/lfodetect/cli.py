@@ -24,7 +24,6 @@ from . import __version__, detector, emd, prony, signalgen, spectrum
 from .core import AnalysisConfig, EmptyBand, Severity
 from .ingest import (
     DtMismatch,
-    FileUnreadable,
     ParseReport,
     SchemaMismatch,
     WindowingPolicy,
@@ -41,17 +40,9 @@ EXIT_CRITICAL = 3
 #: Settings that are WindowingPolicy fields under the same name.
 _POLICY_KEYS = ("window_seconds", "stride_seconds", "expected_dt", "max_gap_fraction")
 
-#: Keys each command's --config file may set: the settings the command
-#: reads. Any other key is most likely a typo.
-_CONFIG_KEYS = {
-    "analyze": frozenset(_POLICY_KEYS + ("order", "band")),
-    "detect": frozenset(_POLICY_KEYS + ("order", "band")),
-    "spectrum": frozenset(_POLICY_KEYS + ("band",)),
-}
-
 
 class InvalidSetting(ValueError):
-    """A flag or config-file value of the wrong type or out of range."""
+    """A flag value out of range."""
 
 
 class AnalysisFailure(RuntimeError):
@@ -99,21 +90,18 @@ def _parse_tone(text: str) -> signalgen.ToneSpec:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _add_windowing_flags(parser: argparse.ArgumentParser) -> None:
+def _archive_command(sub, name: str, summary: str, func) -> argparse.ArgumentParser:
+    """A subcommand that windows an archive: the archive, the windowing
+    flags and --out-dir."""
+    parser = sub.add_parser(name, help=summary)
+    parser.add_argument("archive", type=Path)
     helps = ("analysis window length", "window advance", "sample interval in seconds", "max missing fraction per window")
-    for name, text in zip(_POLICY_KEYS, helps):
-        parser.add_argument(f"--{name.replace('_', '-')}", type=float, default=None,
-                            help=f"{text} (default {getattr(WindowingPolicy, name):g})")
-
-
-def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--order", type=int, default=None, help="prediction model order (default: automatic)")
-    parser.add_argument("--band", type=_parse_band, default=None, metavar="LO,HI", help="analysis band in Hz (default %s,%s)" % AnalysisConfig.emd_band_hz)
-
-
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    for key, text in zip(_POLICY_KEYS, helps):
+        parser.add_argument(f"--{key.replace('_', '-')}", type=float, default=None,
+                            help=f"{text} (default {getattr(WindowingPolicy, key):g})")
     parser.add_argument("--out-dir", type=Path, default=Path("."), help="output directory (default: cwd)")
-    parser.add_argument("--config", type=Path, default=None, help="JSON config file; explicit flags win")
+    parser.set_defaults(func=func)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,138 +121,53 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--output", "-o", type=Path, required=True)
     p_synth.set_defaults(func=cmd_synth)
 
-    p_analyze = sub.add_parser("analyze", help="per-window mode tables")
-    p_analyze.add_argument("archive", type=Path)
-    _add_windowing_flags(p_analyze)
-    _add_analysis_flags(p_analyze)
-    _add_common_flags(p_analyze)
+    p_analyze = _archive_command(sub, "analyze", "per-window mode tables", cmd_analyze)
+    p_analyze.add_argument("--order", type=int, default=None, help="prediction model order (default: automatic)")
+    p_detect = _archive_command(sub, "detect", "emit classified oscillation alarms", cmd_detect)
+    for p in (p_analyze, p_detect):
+        p.add_argument("--band", type=_parse_band, default=None, metavar="LO,HI",
+                       help="analysis band in Hz (default %s,%s)" % AnalysisConfig.emd_band_hz)
     p_analyze.add_argument("--emd", action="store_true",
                            help="band-pass the window before fitting (detect always does)")
     p_analyze.add_argument("--dump-imfs", action="store_true", help="write each window's IMFs as CSV columns")
-    p_analyze.set_defaults(func=cmd_analyze)
 
-    p_detect = sub.add_parser("detect", help="emit classified oscillation alarms")
-    p_detect.add_argument("archive", type=Path)
-    _add_windowing_flags(p_detect)
-    _add_analysis_flags(p_detect)
-    _add_common_flags(p_detect)
-    p_detect.set_defaults(func=cmd_detect)
-
-    p_spectrum = sub.add_parser("spectrum", help="per-window spectrum CSVs")
-    p_spectrum.add_argument("archive", type=Path)
-    _add_windowing_flags(p_spectrum)
-    _add_common_flags(p_spectrum)
+    p_spectrum = _archive_command(sub, "spectrum", "per-window spectrum CSVs", cmd_spectrum)
     p_spectrum.add_argument("--band", type=_parse_band, default=None, metavar="LO,HI",
                             help="restrict emitted rows to this band")
     p_spectrum.add_argument("--window-fn", choices=[w.value for w in spectrum.WindowFunction],
                             default=spectrum.WindowFunction.Rectangular.value)
-    p_spectrum.set_defaults(func=cmd_spectrum)
     return parser
 
 
-def _load_config(path: Path | None, keys: frozenset) -> dict:
-    if path is None:
-        return {}
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FileUnreadable(f"cannot open config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaMismatch(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SchemaMismatch(f"config {path} must hold a JSON object")
-    unknown = sorted(set(data) - keys)
-    if unknown:
-        raise SchemaMismatch(f"config {path} has unknown key(s): {', '.join(unknown)}")
-    return data
-
-
-def _given(args) -> dict:
-    """The settings of `args.command` that a flag or the config file set,
-    flags winning. Anything unset is left to the WindowingPolicy and
-    AnalysisConfig defaults."""
-    keys = _CONFIG_KEYS[args.command]
-    flags = {name: getattr(args, name, None) for name in keys}
-    return {**_load_config(args.config, keys), **{name: value for name, value in flags.items() if value is not None}}
-
-
-def _number(name: str, value) -> float:
-    """A setting as a float. A JSON true or false is not a number, although
-    float() would take it as 1 or 0."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {json.dumps(value)}")
-    return float(value)
-
-
-def _whole_number(name: str, value) -> int:
-    """A setting as an int; a fraction or a boolean is refused, not
-    truncated or taken as 1 or 0."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{name} must be a whole number, got {json.dumps(value)}")
-    return int(value)
-
-
-def _resolve_policy(given: dict) -> WindowingPolicy:
-    return WindowingPolicy(**{name: _number(name, given[name]) for name in _POLICY_KEYS if name in given})
-
-
-def _resolve_band(given: dict) -> tuple[float, float] | None:
-    if "band" not in given:
-        return None
-    band = given["band"]
-    lo, hi = _parse_band(band) if isinstance(band, str) else band
-    return _number("band", lo), _number("band", hi)
-
-
-def _resolve_analysis(given: dict) -> AnalysisConfig:
-    fields = {}
-    band = _resolve_band(given)
-    if band is not None:
-        fields["emd_band_hz"] = band
-    if given.get("order") is not None:
-        fields["prony_order"] = _whole_number("order", given["order"])
-    return AnalysisConfig(**fields)
-
-
-def _resolve_detect(given: dict, policy: WindowingPolicy) -> AnalysisConfig:
-    cfg = _resolve_analysis(given)
-    if cfg.prony_order is not None:
-        detector.check_stability_order(policy.window_samples, cfg.prony_order)
-        prony.check_order(policy.window_samples, cfg.prony_order)
+def _resolve_detect(args, policy: WindowingPolicy) -> AnalysisConfig:
+    cfg = AnalysisConfig(emd_band_hz=args.band or AnalysisConfig.emd_band_hz)
     spectrum.check_band_below_nyquist(cfg.emd_band_hz, 0.5 / policy.expected_dt)
     return cfg
 
 
-def _resolve_spectrum_band(given: dict, policy: WindowingPolicy) -> tuple[float, float] | None:
-    band = _resolve_band(given)
-    if band is not None and not band[0] < band[1]:
-        raise ValueError(f"band must satisfy low < high, got {band}")
-    return band
+def _resolve_spectrum_band(args, policy: WindowingPolicy) -> tuple[float, float] | None:
+    if args.band is not None and not args.band[0] < args.band[1]:
+        raise ValueError(f"band must satisfy low < high, got {args.band}")
+    return args.band
 
 
 def _resolve_settings(args, resolve):
-    """(policy, resolve(settings, policy)) from flags, then the config
-    file, then the defaults; `resolve` turns the settings into the
-    command's own configuration and checks it against the policy.
+    """(policy, resolve(args, policy)): the windowing policy from the flags
+    and their defaults, then `resolve`'s configuration of the command,
+    checked against the policy.
 
     Raises:
-        InvalidSetting: a value has the wrong type or is out of range.
+        InvalidSetting: a value is out of range.
     """
-    given = _given(args)
     try:
-        policy = _resolve_policy(given)
-        return policy, resolve(given, policy)
-    except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+        policy = WindowingPolicy(**{key: getattr(args, key) for key in _POLICY_KEYS if getattr(args, key) is not None})
+        return policy, resolve(args, policy)
+    except ValueError as exc:
         raise InvalidSetting(f"invalid setting: {exc}") from exc
 
 
 def _window_prefix(w) -> str:
     return f"{w.station_id}_{w.channel.value}_{w.t0_ms}"
-
-
-def _analysis_record(cfg: AnalysisConfig) -> dict:
-    """The manifest's record of an analysis command's resolved settings."""
-    return {"prony_order": cfg.prony_order, "band_hz": list(cfg.emd_band_hz)}
 
 
 def _manifest(command: str, policy, config: dict, archive: Path, entries, diagnostics, report, extra) -> dict:
@@ -371,11 +274,11 @@ def _write_imf_dump(path: Path, window, imf_set) -> None:
 
 
 def cmd_analyze(args) -> int:
-    def resolve(given: dict, policy: WindowingPolicy) -> AnalysisConfig:
+    def resolve(args, policy: WindowingPolicy) -> AnalysisConfig:
         # only the EMD band-pass reads the band
-        if "band" in given and not args.emd:
+        if args.band is not None and not args.emd:
             raise ValueError("band applies only with --emd")
-        cfg = _resolve_analysis(given)
+        cfg = AnalysisConfig(prony_order=args.order, emd_band_hz=args.band or AnalysisConfig.emd_band_hz)
         if cfg.prony_order is not None:
             prony.check_order(policy.window_samples, cfg.prony_order)
         if args.emd:
@@ -404,7 +307,7 @@ def cmd_analyze(args) -> int:
             print(f"  amplitude={m.amplitude:.3g} damping={m.damping:.3g} frequency={m.frequency:.3g} Hz")
         return "analyzed", artifacts
 
-    _run(args, "analyze", policy, _analysis_record(cfg), analyse)
+    _run(args, "analyze", policy, {"prony_order": cfg.prony_order, "band_hz": list(cfg.emd_band_hz)}, analyse)
     return EXIT_OK
 
 
@@ -423,7 +326,7 @@ def cmd_detect(args) -> int:
         sys.stdout.writelines(lines)
         return ["alarms.jsonl"]
 
-    _run(args, "detect", policy, _analysis_record(cfg), analyse, finish)
+    _run(args, "detect", policy, {"band_hz": list(cfg.emd_band_hz)}, analyse, finish)
     return EXIT_CRITICAL if any(a.severity is Severity.Critical for a in alarms) else EXIT_OK
 
 

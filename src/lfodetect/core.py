@@ -88,8 +88,9 @@ def wrap_angle(theta: float) -> float:
     return math.pi if w == -math.pi else w
 
 
-def _readonly(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+def _readonly(values, dtype=float) -> np.ndarray:
+    """A frozen `dtype` copy of `values`."""
+    arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
@@ -236,9 +237,7 @@ class PronyFit:
         if coeffs.shape[0] != self.order:
             raise ValueError("lpm_coefficients length must equal order")
         object.__setattr__(self, "lpm_coefficients", coeffs)
-        roots = np.array(self.roots, dtype=complex)
-        roots.flags.writeable = False
-        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "roots", _readonly(self.roots, complex))
         object.__setattr__(self, "modes", tuple(self.modes))
 
 

@@ -36,7 +36,6 @@ from .core import (
     SampleWindow,
     Severity,
     SpectrumPeak,
-    max_order,
     validate_window,
 )
 
@@ -132,29 +131,16 @@ def _severity(damping: float, classes: frozenset[ModeClass], cfg: AnalysisConfig
 _MIN_STABILITY_HALF = 12
 
 
-def check_stability_order(window_samples: int, order: int) -> None:
-    """Reject a Prony order the stability gate's half-window refits cannot
-    support on windows of `window_samples` (windows too short for the gate
-    accept any order).
-
-    Raises:
-        prony.OrderTooHigh: order exceeds the half-window limit.
-    """
-    half = window_samples // 2
-    if half < _MIN_STABILITY_HALF:
-        return
-    limit = max_order(half)
-    if order > limit:
-        raise prony.OrderTooHigh(
-            f"order {order} exceeds {limit}, the most a half window of {half} samples "
-            f"supports (detect refits both halves of each {window_samples}-sample window)"
-        )
-
-
 def _stable_modes(bp: SampleWindow, modes, cfg: AnalysisConfig):
     """Modes whose frequency persists in independent fits of both window
-    halves. Any half-fit failure keeps the list unfiltered (degenerate
-    windows are already gated by fit quality)."""
+    halves. A half fit that finds too little excitation or whose root
+    solver diverges keeps the list unfiltered (degenerate windows are
+    already gated by fit quality).
+
+    Raises:
+        prony.OrderTooHigh: cfg.prony_order exceeds what a half window
+            supports; the automatic order never does.
+    """
     if not modes:
         return modes
     half = bp.count // 2
@@ -163,7 +149,7 @@ def _stable_modes(bp: SampleWindow, modes, cfg: AnalysisConfig):
     try:
         first = prony.prony_analyze(bp.replace_samples(bp.samples[:half]), cfg)
         second = prony.prony_analyze(bp.replace_samples(bp.samples[half:]), cfg)
-    except (prony.OrderTooHigh, prony.InsufficientExcitation, prony.RootSolverDiverged):
+    except (prony.InsufficientExcitation, prony.RootSolverDiverged):
         return modes
     # half windows cannot resolve finer than twice the full-window limit
     tol = max(2.0 / bp.duration, MATCH_TOLERANCE_FLOOR_HZ)
@@ -181,6 +167,11 @@ def detect(w: SampleWindow, cfg: AnalysisConfig | None = None) -> DetectionRepor
 
     An empty band-pass result (nothing inside cfg.emd_band_hz) yields an
     empty report rather than an error.
+
+    Raises:
+        prony.OrderTooHigh: cfg.prony_order exceeds a third of the window's
+            samples, or of a half window's when the stability gate runs
+            (halves of at least 12 samples).
     """
     cfg = cfg or AnalysisConfig()
     validate_window(w)

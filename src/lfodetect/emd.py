@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AnalysisConfig, EmptyBand, SampleWindow, validate_window
+from .core import AnalysisConfig, EmptyBand, SampleWindow, _readonly, validate_window
 
 #: Hard cap on extracted IMFs; log2 of typical window lengths bounds the
 #: number of meaningful dyadic scales.
@@ -70,9 +70,7 @@ class Imf:
     mean_frequency_hz: float
 
     def __post_init__(self):
-        arr = np.array(self.samples, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "samples", _readonly(self.samples))
         if self.mean_frequency_hz < 0:
             raise ValueError("mean_frequency_hz must be >= 0")
 
@@ -90,9 +88,7 @@ class ImfSet:
 
     def __post_init__(self):
         object.__setattr__(self, "imfs", tuple(self.imfs))
-        arr = np.array(self.residue, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "residue", arr)
+        object.__setattr__(self, "residue", _readonly(self.residue))
 
 
 def _extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -224,7 +224,8 @@ def make_windows(
             the stream, the field and the value.
         ValueError: a record's timestamp_ms is an int outside int64, or its
             value an int past float range; the message names the stream,
-            the field and the value.
+            the field and the value (an int too long to print by its
+            digit count).
         DtMismatch: a stream's median spacing deviates from expected_dt by
             more than 10%.
     """
@@ -265,7 +266,19 @@ def _typed_streams(records: Iterable[ArchiveRecord]) -> dict[tuple[str, Channel]
 
 
 def _bad_field(station: str, channel: Channel, name: str, kind: str, value, error=TypeError) -> Exception:
-    return error(f"stream {station}/{channel.value}: {name} must be {kind}, got {value!r}")
+    return error(f"stream {station}/{channel.value}: {name} must be {kind}, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """`repr(value)`, or an int's digit count where the int is too long
+    for Python to convert to text (over 4300 digits by default)."""
+    try:
+        return repr(value)
+    except ValueError:
+        size = abs(value)
+        # the digit count is this estimate or one more
+        digits = int(size.bit_length() * math.log10(2))
+        return f"an int of {digits + (size >= 10**digits)} digits"
 
 
 def _stream_windows(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmptyBand, SampleWindow, SpectrumPeak, validate_window, wrap_angle
+from .core import EmptyBand, SampleWindow, SpectrumPeak, _readonly, validate_window, wrap_angle
 
 
 class WindowFunction(str, enum.Enum):
@@ -29,9 +29,7 @@ class Spectrum:
     df: float
 
     def __post_init__(self):
-        arr = np.array(self.bins, dtype=complex)
-        arr.flags.writeable = False
-        object.__setattr__(self, "bins", arr)
+        object.__setattr__(self, "bins", _readonly(self.bins, complex))
         if self.df <= 0:
             raise ValueError(f"df must be positive, got {self.df}")
 

@@ -210,6 +210,15 @@ class TestDetect:
         assert run("detect", bom_archive, "--out-dir", bom) == 3
         assert (bom / "alarms.jsonl").read_bytes() == (plain / "alarms.jsonl").read_bytes()
 
+    def test_band_flag_sets_analysis_band(self, tmp_path):
+        archive = tmp_path / "a.csv"
+        run("synth", "--tone", "1,4.0,-0.21", "--seconds", "25.04", "-o", archive)
+        assert run("detect", archive, "--out-dir", tmp_path / "default") == 0
+        assert (tmp_path / "default" / "alarms.jsonl").read_text() == ""
+        # 4 Hz lies outside the default 0.1-2 Hz band
+        assert run("detect", archive, "--out-dir", tmp_path / "wide", "--band", "0.1,10.0") == 0
+        assert len((tmp_path / "wide" / "alarms.jsonl").read_text().splitlines()) == 1
+
 
 class TestSpectrum:
     def test_in_bin_tone_row(self, tmp_path):
@@ -237,40 +246,6 @@ class TestSpectrum:
     def test_missing_archive(self, tmp_path):
         assert run("spectrum", tmp_path / "nope.csv", "--out-dir", tmp_path / "out") == 2
 
-    def test_config_band_filters_and_flag_wins(self, tmp_path):
-        archive = tmp_path / "a.csv"
-        run("synth", "--tone", "0.2,0.52", "--seconds", "25.04", "-o", archive)
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"band": "0.5,1.0"}))
-
-        def freqs(out):
-            rows = list(out.glob("*_spectrum.csv"))[0].read_text().splitlines()[1:]
-            return [float(r.split(",")[0]) for r in rows]
-
-        assert run("spectrum", archive, "--out-dir", tmp_path / "cfg", "--config", config) == 0
-        from_config = freqs(tmp_path / "cfg")
-        assert from_config and all(0.5 <= f <= 1.0 for f in from_config)
-        assert run("spectrum", archive, "--out-dir", tmp_path / "flag", "--config", config,
-                   "--band", "0.1,2.0") == 0
-        from_flag = freqs(tmp_path / "flag")
-        assert min(from_flag) < 0.5 and max(from_flag) > 1.0
-        assert all(0.1 <= f <= 2.0 for f in from_flag)
-
-
-class TestConfigFile:
-    def test_config_supplies_defaults_flags_win(self, tmp_path):
-        archive = tmp_path / "a.csv"
-        run("synth", "--tone", "1,4.0,-0.21", "--seconds", "25.04", "-o", archive)
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"band": "0.1,10.0"}))
-        out1 = tmp_path / "out1"
-        assert run("detect", archive, "--out-dir", out1, "--config", config) == 0
-        assert len((out1 / "alarms.jsonl").read_text().splitlines()) == 1
-        # explicit flag overrides the config file
-        out2 = tmp_path / "out2"
-        assert run("detect", archive, "--out-dir", out2, "--config", config, "--band", "0.1,2.0") == 0
-        assert (out2 / "alarms.jsonl").read_text() == ""
-
 
 class TestManifest:
     def test_every_artifact_referenced(self, growing_archive, tmp_path):
@@ -281,46 +256,40 @@ class TestManifest:
         assert produced == set(manifest["artifacts"])
 
     @pytest.mark.parametrize(
-        "settings, flags, policy, cfg",
+        "command, flags, policy, config",
         [
-            (None, [], WindowingPolicy(), AnalysisConfig()),
+            ("detect", [], WindowingPolicy(), {"band_hz": [0.1, 2.0]}),
             (
-                {"window_seconds": 20, "stride_seconds": 4, "order": 30},
-                ["--window-seconds", "15", "--order", "20"],
+                "detect",
+                ["--window-seconds", "15", "--stride-seconds", "4", "--band", "0.2,3"],
                 WindowingPolicy(window_seconds=15.0, stride_seconds=4.0),
-                AnalysisConfig(prony_order=20),
+                {"band_hz": [0.2, 3.0]},
             ),
+            ("analyze", [], WindowingPolicy(), {"prony_order": None, "band_hz": [0.1, 2.0]}),
+            ("analyze", ["--order", "20", "--emd", "--band", "0.2,3"], WindowingPolicy(),
+             {"prony_order": 20, "band_hz": [0.2, 3.0]}),
         ],
-        ids=["defaults", "flag-overrides-config"],
+        ids=["defaults", "flags", "analyze-defaults", "analyze-flags"],
     )
-    def test_records_resolved_settings(self, growing_archive, tmp_path, settings, flags, policy, cfg):
-        if settings is not None:
-            config = tmp_path / "cfg.json"
-            config.write_text(json.dumps(settings))
-            flags = flags + ["--config", config]
+    def test_records_resolved_settings(self, growing_archive, tmp_path, command, flags, policy, config):
         out = tmp_path / "out"
-        run("detect", growing_archive, "--out-dir", out, *flags)
+        run(command, growing_archive, "--out-dir", out, *flags)
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["windowing"] == dataclasses.asdict(policy)
         # only settings that can be set: the match tolerance and the
-        # amplitude floors are constants of the method
-        assert manifest["config"] == {"prony_order": cfg.prony_order, "band_hz": list(cfg.emd_band_hz)}
+        # amplitude floors are constants of the method, and detect runs
+        # at the automatic order
+        assert manifest["config"] == config
 
     @pytest.mark.parametrize(
-        "settings, flags, config",
+        "flags, config",
         [
-            (None, [], {"band_hz": None, "window_fn": "rectangular"}),
-            (None, ["--band", "0.5,1.0", "--window-fn", "hann"], {"band_hz": [0.5, 1.0], "window_fn": "hann"}),
-            ({"band": "0.2,2.0"}, [], {"band_hz": [0.2, 2.0], "window_fn": "rectangular"}),
-            ({"band": "0.2,2.0"}, ["--band", "0.5,1.0"], {"band_hz": [0.5, 1.0], "window_fn": "rectangular"}),
+            ([], {"band_hz": None, "window_fn": "rectangular"}),
+            (["--band", "0.5,1.0", "--window-fn", "hann"], {"band_hz": [0.5, 1.0], "window_fn": "hann"}),
         ],
-        ids=["defaults", "flags", "config-band", "flag-overrides-config"],
+        ids=["defaults", "flags"],
     )
-    def test_spectrum_records_band_and_window_fn(self, growing_archive, tmp_path, settings, flags, config):
-        if settings is not None:
-            path = tmp_path / "cfg.json"
-            path.write_text(json.dumps(settings))
-            flags = flags + ["--config", path]
+    def test_spectrum_records_band_and_window_fn(self, growing_archive, tmp_path, flags, config):
         out = tmp_path / "out"
         assert run("spectrum", growing_archive, "--out-dir", out, *flags) == 0
         manifest = json.loads((out / "run_manifest.json").read_text())
@@ -470,26 +439,21 @@ class TestAnalyzeEmdFlag:
 
 
 class TestHalfWindowOrder:
-    """`detect` refits each window half; an order a half window cannot
-    support (626-sample windows: halves of 313, at most order 104) is an
-    input error, not a silently skipped stability gate."""
+    """Library `detect` refits each window half; a fixed order a half window
+    cannot support (626-sample windows: halves of 313, at most order 104)
+    raises rather than silently skipping the stability gate. The `detect`
+    command always runs at the automatic order, which a half window
+    supports."""
 
-    def test_detect_rejects_order_above_half_window_limit(self, growing_archive, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert run("detect", growing_archive, "--out-dir", out, "--order", "105") == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
-        assert "order 105" in err[0] and "104" in err[0] and "313" in err[0]
-        assert not out.exists()
+    def test_detect_rejects_order_above_half_window_limit(self, growing_archive):
+        (window,) = lf.make_windows(lf.read_archive(growing_archive))
+        with pytest.raises(lf.OrderTooHigh, match=r"^313 samples cannot support order 105 "):
+            lf.detect(window, AnalysisConfig(prony_order=105))
 
-    def test_config_file_order_is_checked_too(self, growing_archive, tmp_path, capsys):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"order": 208}))
-        assert run("detect", growing_archive, "--out-dir", tmp_path / "o", "--config", config) == 2
-        assert "order 208" in capsys.readouterr().err
-
-    def test_limit_order_still_detects(self, growing_archive, tmp_path):
-        assert run("detect", growing_archive, "--out-dir", tmp_path / "o", "--order", "104") == 3
+    def test_limit_order_still_detects(self, growing_archive):
+        (window,) = lf.make_windows(lf.read_archive(growing_archive))
+        alarms = lf.detect(window, AnalysisConfig(prony_order=104)).alarms
+        assert any(a.severity is lf.Severity.Critical for a in alarms)
 
     def test_analyze_keeps_full_window_limit(self, growing_archive, tmp_path):
         assert run("analyze", growing_archive, "--out-dir", tmp_path / "o", "--order", "105") == 0
@@ -497,21 +461,6 @@ class TestHalfWindowOrder:
 
 
 class TestBadConfig:
-    def test_malformed_json_config(self, tmp_path, capsys):
-        archive = tmp_path / "a.csv"
-        run("synth", "--tone", "1,0.7", "--seconds", "25.04", "-o", archive)
-        config = tmp_path / "bad.json"
-        config.write_text("{not json")
-        assert run("detect", archive, "--out-dir", tmp_path / "o", "--config", config) == 2
-        assert "not valid JSON" in capsys.readouterr().err
-
-    def test_config_band_malformed(self, tmp_path, capsys):
-        archive = tmp_path / "a.csv"
-        run("synth", "--tone", "1,0.7", "--seconds", "25.04", "-o", archive)
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"band": "oops"}))
-        assert run("detect", archive, "--out-dir", tmp_path / "o", "--config", config) == 2
-
     def test_analyze_has_no_match_tolerance_flag(self, growing_archive, tmp_path, capsys):
         # analyze never matches modes to peaks: the tolerance reached only the manifest
         assert run("analyze", growing_archive, "--out-dir", tmp_path / "o", "--match-tolerance", "0.1") == 2
@@ -526,14 +475,41 @@ class TestBadConfig:
             ("detect", ["--match-tolerance", "0.1"]),
             ("detect", ["--min-amplitude-fraction", "0.1"]),
             ("analyze", ["--min-amplitude-fraction", "0.1"]),
+            ("detect", ["--order", "20"]),
+            ("analyze", ["--config", "x.json"]),
+            ("detect", ["--config", "x.json"]),
+            ("spectrum", ["--config", "x.json"]),
         ],
         ids=["match-tolerance-nan", "match-tolerance-inf", "match-tolerance", "detect-min-amplitude-fraction",
-             "analyze-min-amplitude-fraction"],
+             "analyze-min-amplitude-fraction", "detect-order", "analyze-config-file", "detect-config-file",
+             "spectrum-config-file"],
     )
     def test_fixed_rule_has_no_flag(self, growing_archive, tmp_path, capsys, command, flags):
-        # the match tolerance and the amplitude floors are constants of the method
+        # the match tolerance and the amplitude floors are constants of the
+        # method, detect runs at the automatic order, and flags are the
+        # only settings: there is no settings file
         assert run(command, growing_archive, "--out-dir", tmp_path / "o", *flags) == 2
         assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("detect", ["--band", "oops"], "argument --band: band must be 'low,high', got 'oops'"),
+            ("spectrum", ["--band", "1,2,3"], "argument --band: band must be 'low,high', got '1,2,3'"),
+            ("analyze", ["--order", "3.7"], "argument --order: invalid int value: '3.7'"),
+            ("analyze", ["--order", "auto"], "argument --order: invalid int value: 'auto'"),
+            ("detect", ["--expected-dt", "x"], "argument --expected-dt: invalid float value: 'x'"),
+        ],
+        ids=["band-malformed", "spectrum-three-band-edges", "analyze-order-fraction", "analyze-order-auto",
+             "expected-dt-not-a-number"],
+    )
+    def test_flag_of_wrong_type_is_usage_error(self, growing_archive, tmp_path, capsys, command, flags, message):
+        # argparse prints its usage block, then one error line
+        assert run(command, growing_archive, "--out-dir", tmp_path / "o", *flags) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"usage: lfodetect {command} ")
+        assert err[-1] == f"lfodetect {command}: error: {message}"
         assert not (tmp_path / "o").exists()
 
     def test_band_ending_at_nyquist_runs(self, growing_archive, tmp_path):
@@ -541,78 +517,39 @@ class TestBadConfig:
         assert (tmp_path / "o" / "alarms.jsonl").read_text()
 
     @pytest.mark.parametrize(
-        "command, flags, settings, message",
+        "command, flags, message",
         [
-            ("detect", ["--band", "2,1"], None, "band must satisfy"),
-            ("spectrum", ["--band", "2,1"], None, "band must satisfy"),
-            ("spectrum", ["--band", "1,1"], None, "band must satisfy"),
-            ("spectrum", [], {"band": "2,1"}, "band must satisfy"),
-            ("spectrum", [], {"band": [1, 2, 3]}, "invalid setting"),
-            ("detect", ["--stride-seconds", "30"], None, "stride must satisfy"),
-            ("detect", [], {"jobs": 2}, "unknown key(s): jobs"),
-            ("detect", [], {"order": "x"}, "'x'"),
-            ("detect", [], {"windw_seconds": 10}, "unknown key(s): windw_seconds"),
-            ("detect", ["--expected-dt", "nan"], None, "expected_dt must be finite, got nan"),
-            ("detect", ["--expected-dt", "inf"], None, "expected_dt must be finite, got inf"),
-            ("detect", ["--window-seconds", "inf"], None, "window_seconds must be finite, got inf"),
-            ("spectrum", ["--stride-seconds", "nan"], None, "stride_seconds must be finite, got nan"),
-            ("detect", [], {"expected_dt": "nan"}, "expected_dt must be finite, got nan"),
-            ("detect", [], {"order": 3.7}, "order must be a whole number, got 3.7"),
-            ("analyze", [], {"order": 3.7}, "order must be a whole number, got 3.7"),
-            ("detect", [], {"order": True}, "order must be a whole number, got true"),
-            ("detect", [], {"window_seconds": True}, "window_seconds must be a number, got true"),
-            # fixed rules, not settings
-            ("detect", [], {"match_tolerance": False}, "unknown key(s): match_tolerance"),
-            ("detect", [], {"min_amplitude_fraction": True}, "unknown key(s): min_amplitude_fraction"),
-            ("detect", [], {"match_tolerance": "auto"}, "unknown key(s): match_tolerance"),
-            ("analyze", [], {"min_amplitude_fraction": 0.1}, "unknown key(s): min_amplitude_fraction"),
-            # leaving order out, or null, means automatic; no other spelling does
-            ("detect", [], {"order": "auto"}, "'auto'"),
+            ("detect", ["--band", "2,1"], "band must satisfy"),
+            ("spectrum", ["--band", "2,1"], "band must satisfy"),
+            ("spectrum", ["--band", "1,1"], "band must satisfy"),
+            ("detect", ["--stride-seconds", "30"], "stride must satisfy"),
+            ("detect", ["--expected-dt", "nan"], "expected_dt must be finite, got nan"),
+            ("detect", ["--expected-dt", "inf"], "expected_dt must be finite, got inf"),
+            ("detect", ["--window-seconds", "inf"], "window_seconds must be finite, got inf"),
+            ("spectrum", ["--stride-seconds", "nan"], "stride_seconds must be finite, got nan"),
             # a window of 626 samples supports orders up to 208
-            ("analyze", ["--order", "300"], None, "626 samples cannot support order 300 (need >= 900)"),
-            ("analyze", ["--emd"], {"order": 209}, "626 samples cannot support order 209 (need >= 627)"),
-            # 21-sample windows are too short for the half-window refits, not for the full fit's limit
-            ("detect", ["--window-seconds", "0.8", "--stride-seconds", "0.8", "--order", "8"], None,
-             "21 samples cannot support order 8 (need >= 24)"),
-            ("spectrum", [], {"band": [True, 2]}, "band must be a number, got true"),
-            ("detect", ["--band", "0.1,20"], None, "band upper edge 20.0 Hz exceeds Nyquist 12.5 Hz"),
-            ("detect", ["--band", "0.1,inf"], None, "band upper edge inf Hz exceeds Nyquist 12.5 Hz"),
-            ("detect", [], {"band": "0.1,20"}, "band upper edge 20.0 Hz exceeds Nyquist 12.5 Hz"),
-            ("detect", ["--window-seconds", "0.1", "--stride-seconds", "0.1"], None,
+            ("analyze", ["--order", "300"], "626 samples cannot support order 300 (need >= 900)"),
+            ("analyze", ["--emd", "--order", "209"], "626 samples cannot support order 209 (need >= 627)"),
+            ("detect", ["--band", "0.1,20"], "band upper edge 20.0 Hz exceeds Nyquist 12.5 Hz"),
+            ("detect", ["--band", "0.1,inf"], "band upper edge inf Hz exceeds Nyquist 12.5 Hz"),
+            ("detect", ["--window-seconds", "0.1", "--stride-seconds", "0.1"],
              "a window must hold at least 4 samples, got 3"),
-            ("spectrum", ["--window-seconds", "0.1", "--stride-seconds", "0.1"], None,
+            ("spectrum", ["--window-seconds", "0.1", "--stride-seconds", "0.1"],
              "a window must hold at least 4 samples, got 3"),
-            ("spectrum", [], {"order": "x", "match_tolerance": -1}, "unknown key(s): match_tolerance, order"),
-            ("spectrum", [], {"min_amplitude_fraction": 0.1}, "unknown key(s): min_amplitude_fraction"),
-            ("analyze", [], {"match_tolerance": 0.1}, "unknown key(s): match_tolerance"),
-            ("analyze", ["--band", "0.1,2"], None, "band applies only with --emd"),
-            ("analyze", [], {"band": "0.1,2"}, "band applies only with --emd"),
-            ("analyze", ["--emd", "--band", "0.1,1e308"], None, "band upper edge 1e+308 Hz exceeds Nyquist 12.5 Hz"),
+            ("analyze", ["--band", "0.1,2"], "band applies only with --emd"),
+            ("analyze", ["--emd", "--band", "0.1,1e308"], "band upper edge 1e+308 Hz exceeds Nyquist 12.5 Hz"),
         ],
-        ids=["inverted-band", "spectrum-inverted-band", "spectrum-zero-width-band", "spectrum-config-inverted-band",
-             "spectrum-config-three-band-edges", "stride-over-window",
-             "jobs-config-key", "order-not-int", "unknown-key",
+        ids=["inverted-band", "spectrum-inverted-band", "spectrum-zero-width-band", "stride-over-window",
              "expected-dt-nan", "expected-dt-inf", "window-seconds-inf", "spectrum-stride-seconds-nan",
-             "config-expected-dt-nan",
-             "order-fraction", "analyze-order-fraction", "order-boolean", "window-seconds-boolean",
-             "match-tolerance-boolean", "min-amplitude-fraction-boolean", "match-tolerance-auto",
-             "analyze-config-min-amplitude-fraction", "order-auto", "analyze-order-above-window-limit",
-             "analyze-config-order-above-window-limit", "detect-order-above-short-window-limit",
-             "spectrum-config-boolean-band-edge",
-             "band-above-nyquist", "band-to-infinity", "config-band-above-nyquist",
+             "analyze-order-above-window-limit", "emd-order-above-window-limit",
+             "band-above-nyquist", "band-to-infinity",
              "window-of-three-samples", "spectrum-window-of-three-samples",
-             "spectrum-config-analysis-keys", "spectrum-config-min-amplitude-fraction",
-             "analyze-config-match-tolerance", "analyze-band-without-emd", "analyze-config-band-without-emd",
-             "analyze-emd-band-above-nyquist"],
+             "analyze-band-without-emd", "analyze-emd-band-above-nyquist"],
     )
-    def test_invalid_setting_is_input_error(self, tmp_path, capsys, command, flags, settings, message):
+    def test_invalid_setting_is_input_error(self, tmp_path, capsys, command, flags, message):
         archive = tmp_path / "a.csv"
         run("synth", "--tone", "1,0.7", "--seconds", "25.04", "-o", archive)
         capsys.readouterr()
-        if settings is not None:
-            config = tmp_path / "cfg.json"
-            config.write_text(json.dumps(settings))
-            flags = flags + ["--config", config]
         assert run(command, archive, "--out-dir", tmp_path / "o", *flags) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -621,15 +558,13 @@ class TestBadConfig:
 
 
 class TestExitCodeContract:
-    """Every input error that reaches `main` exits 2 with one `error: ` line
+    """Every input error past argument parsing exits 2 with one `error: ` line
     on stderr and no traceback. `{archive}` is a one-window archive,
     `{file}` a regular file and `{tmp}` the test's directory."""
 
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["detect", "{archive}", "--config", "{tmp}/missing.json"], "cannot open config"),
-            (["detect", "{archive}", "--config", "{tmp}/array.json"], "must hold a JSON object"),
             (["analyze", "{archive}", "--out-dir", "{file}"], "File exists"),
             (["detect", "{archive}", "--out-dir", "{file}"], "File exists"),
             (["spectrum", "{archive}", "--out-dir", "{file}"], "File exists"),
@@ -641,7 +576,7 @@ class TestExitCodeContract:
             # 1e308 and -1e308 around a one-sample gap interpolate to -inf
             (["detect", "{huge}"], "error: synthetic_Frequency_Hz_0: sample 101 is not finite"),
         ],
-        ids=["missing-config", "config-json-array", "analyze-out-dir-is-file", "detect-out-dir-is-file",
+        ids=["analyze-out-dir-is-file", "detect-out-dir-is-file",
              "spectrum-out-dir-is-file", "out-dir-under-file", "synth-output-under-file", "synth-negative-seed",
              "interpolated-sample-not-finite"],
     )
@@ -654,7 +589,6 @@ class TestExitCodeContract:
         lines[103] = lines[103].rsplit(",", 1)[0] + ",-1e308\n"
         del lines[102]
         (tmp_path / "huge.csv").write_text("".join(lines))
-        (tmp_path / "array.json").write_text("[]")
         (tmp_path / "file").write_text("")
         capsys.readouterr()
         names = {"archive": archive, "file": tmp_path / "file", "tmp": tmp_path, "huge": tmp_path / "huge.csv"}

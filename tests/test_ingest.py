@@ -339,6 +339,15 @@ class TestMakeWindows:
         with pytest.raises(ValueError, match=r"^stream s1/Frequency_Hz: value must be within float range, got 1000"):
             make_windows(records, WindowingPolicy())
 
+    @pytest.mark.parametrize("field, record", [
+        ("timestamp_ms", ArchiveRecord(10**5000, "s1", Channel.Frequency_Hz, 1.0)),
+        ("value", ArchiveRecord(0, "s1", Channel.Frequency_Hz, 10**5000)),
+    ])
+    def test_int_too_long_to_print_named(self, field, record):
+        # Python refuses to convert an int of over 4300 digits to text
+        with pytest.raises(ValueError, match=rf"^stream s1/Frequency_Hz: {field} must be .*, got an int of 5001 digits$"):
+            make_windows([record, record], WindowingPolicy())
+
     def test_span_past_int64_matches_reference(self):
         # the last stamp lies more than 2**63 ms after the first
         dt = 1.1e15
