@@ -37,8 +37,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CRITICAL = 3
 
-#: Settings that are WindowingPolicy fields under the same name.
-_POLICY_KEYS = ("window_seconds", "stride_seconds", "expected_dt", "max_gap_fraction")
+#: WindowingPolicy fields set by flags of the same name; max_gap_fraction stays at its 1%.
+_POLICY_KEYS = ("window_seconds", "stride_seconds", "expected_dt")
 
 
 class InvalidSetting(ValueError):
@@ -95,7 +95,7 @@ def _archive_command(sub, name: str, summary: str, func) -> argparse.ArgumentPar
     flags and --out-dir."""
     parser = sub.add_parser(name, help=summary)
     parser.add_argument("archive", type=Path)
-    helps = ("analysis window length", "window advance", "sample interval in seconds", "max missing fraction per window")
+    helps = ("analysis window length", "window advance", "sample interval in seconds")
     for key, text in zip(_POLICY_KEYS, helps):
         parser.add_argument(f"--{key.replace('_', '-')}", type=float, default=None,
                             help=f"{text} (default {getattr(WindowingPolicy, key):g})")
@@ -295,7 +295,11 @@ def cmd_analyze(args) -> int:
                 target = emd.select_band(w, imf_set, cfg)[1]
             except EmptyBand:
                 return "empty-band", []
-        fit = prony.prony_analyze(target, cfg)
+        try:
+            fit = prony.prony_analyze(target, cfg)
+        except prony.InsufficientExcitation:
+            # a flat window, as a dead channel reporting zeros gives
+            return "no-excitation", []
         modes = sorted(fit.modes, key=lambda m: (-m.amplitude, m.frequency))
         artifacts = [f"{prefix}_modes.csv"]
         _write_mode_table(args.out_dir / artifacts[0], modes, fit.fit_quality)

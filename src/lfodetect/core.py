@@ -20,6 +20,9 @@ TWO_PI = 2.0 * math.pi
 #: equipment can ring well above the default 0.1-2 Hz electromechanical range).
 CONTROL_HUNT_BAND = (0.1, 10.0)
 
+#: The fewest samples any window, windowing policy or synthesis spec holds.
+MIN_WINDOW_SAMPLES = 4
+
 
 class Channel(str, enum.Enum):
     """Measured quantity carried by an archive stream / analysis window."""
@@ -68,7 +71,7 @@ class NonFiniteSample(ValidationError):
 
 class WindowTooShort(ValidationError):
     def __init__(self, count: int):
-        super().__init__(f"window has {count} samples, need at least 4")
+        super().__init__(f"window has {count} samples, need at least {MIN_WINDOW_SAMPLES}")
         self.count = count
 
 
@@ -171,12 +174,12 @@ def validate_window(w: SampleWindow) -> SampleWindow:
 
     Raises:
         NonPositiveDt: dt is not a positive finite number.
-        WindowTooShort: fewer than 4 samples.
+        WindowTooShort: fewer than MIN_WINDOW_SAMPLES samples.
         NonFiniteSample: first offending sample index attached.
     """
     if not (w.dt > 0 and math.isfinite(w.dt)):
         raise NonPositiveDt(w.dt)
-    if w.count < 4:
+    if w.count < MIN_WINDOW_SAMPLES:
         raise WindowTooShort(w.count)
     finite = np.isfinite(w.samples)
     if not finite.all():
@@ -283,28 +286,14 @@ class AlarmEvent:
         object.__setattr__(self, "classes", frozenset(self.classes))
 
     def to_json_dict(self) -> dict:
-        return {
-            "station_id": self.station_id,
-            "channel": self.channel.value,
-            "t0_ms": self.t0_ms,
-            "duration_s": self.duration_s,
-            "matched_frequency_hz": self.matched_frequency_hz,
-            "prony_mode": {
-                "amplitude": self.prony_mode.amplitude,
-                "damping": self.prony_mode.damping,
-                "frequency": self.prony_mode.frequency,
-                "phase": self.prony_mode.phase,
-                "energy_fraction": self.prony_mode.energy_fraction,
-            },
-            "fft_peak": {
-                "frequency": self.fft_peak.frequency,
-                "magnitude": self.fft_peak.magnitude,
-                "phase": self.fft_peak.phase,
-            },
-            "classes": sorted(c.value for c in self.classes),
-            "growing": self.growing,
-            "severity": self.severity.value,
-        }
+        return dict(
+            vars(self),
+            channel=self.channel.value,
+            prony_mode=dict(vars(self.prony_mode)),
+            fft_peak=dict(vars(self.fft_peak)),
+            classes=sorted(c.value for c in self.classes),
+            severity=self.severity.value,
+        )
 
 
 def mode_matrix(params, count: int, dt: float) -> np.ndarray:

@@ -21,7 +21,7 @@ are the module constants below, not AnalysisConfig fields:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import emd, prony, spectrum
 from .core import (
@@ -66,11 +66,11 @@ class DetectionReport:
     channel: Channel
     t0_ms: int
     duration_s: float
-    prony_fit: PronyFit | None
-    fft_peaks: tuple[SpectrumPeak, ...]
-    alarms: tuple[AlarmEvent, ...]
-    unmatched_prony: tuple[PronyMode, ...]
-    unmatched_fft: tuple[SpectrumPeak, ...]
+    prony_fit: PronyFit | None = None
+    fft_peaks: tuple[SpectrumPeak, ...] = ()
+    alarms: tuple[AlarmEvent, ...] = ()
+    unmatched_prony: tuple[PronyMode, ...] = ()
+    unmatched_fft: tuple[SpectrumPeak, ...] = ()
 
 
 def classify(frequency_hz: float) -> frozenset[ModeClass]:
@@ -175,30 +175,18 @@ def detect(w: SampleWindow, cfg: AnalysisConfig | None = None) -> DetectionRepor
     """
     cfg = cfg or AnalysisConfig()
     validate_window(w)
-
-    def report(fit=None, peaks=(), alarms=(), un_prony=(), un_fft=()):
-        return DetectionReport(
-            station_id=w.station_id,
-            channel=w.channel,
-            t0_ms=w.t0_ms,
-            duration_s=w.duration,
-            prony_fit=fit,
-            fft_peaks=tuple(peaks),
-            alarms=tuple(alarms),
-            unmatched_prony=tuple(un_prony),
-            unmatched_fft=tuple(un_fft),
-        )
+    empty = DetectionReport(w.station_id, w.channel, w.t0_ms, w.duration)
 
     try:
         bp = emd.bandpass(w, cfg)
     except EmptyBand:
         logger.info("%s/%s@%d: nothing inside the analysis band", w.station_id, w.channel.value, w.t0_ms)
-        return report()
+        return empty
 
     try:
         fit = prony.prony_analyze(bp, cfg)
     except prony.InsufficientExcitation:
-        return report()
+        return empty
 
     spec = spectrum.dft(bp, spectrum.WindowFunction.Hann)
     try:
@@ -237,10 +225,11 @@ def detect(w: SampleWindow, cfg: AnalysisConfig | None = None) -> DetectionRepor
 
     matched_modes = {id(m) for m, _ in pairs}
     matched_peaks = {id(p) for _, p in pairs}
-    return report(
-        fit=fit,
-        peaks=peaks,
-        alarms=alarms,
-        un_prony=[m for m in fit.modes if id(m) not in matched_modes],
-        un_fft=[p for p in peaks if id(p) not in matched_peaks],
+    return replace(
+        empty,
+        prony_fit=fit,
+        fft_peaks=tuple(peaks),
+        alarms=tuple(alarms),
+        unmatched_prony=tuple(m for m in fit.modes if id(m) not in matched_modes),
+        unmatched_fft=tuple(p for p in peaks if id(p) not in matched_peaks),
     )

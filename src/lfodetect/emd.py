@@ -34,11 +34,12 @@ Sifting details:
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AnalysisConfig, EmptyBand, SampleWindow, _readonly, validate_window
+from .core import MIN_WINDOW_SAMPLES, AnalysisConfig, EmptyBand, SampleWindow, _readonly, validate_window
 
 #: Hard cap on extracted IMFs; log2 of typical window lengths bounds the
 #: number of meaningful dyadic scales.
@@ -133,13 +134,14 @@ def mean_frequency(samples, dt: float) -> float:
 
     Crossings are counted with a dead zone of 0.2 rms about zero, so only
     swings at the signal's own scale register. Returns 0.0 for a
-    sign-constant signal. Needs at least 4 samples.
+    sign-constant signal. Needs at least MIN_WINDOW_SAMPLES samples and a
+    positive finite dt.
     """
     x = np.asarray(samples, dtype=float)
-    if x.size < 4:
-        raise ValueError(f"need at least 4 samples, got {x.size}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if x.size < MIN_WINDOW_SAMPLES:
+        raise ValueError(f"need at least {MIN_WINDOW_SAMPLES} samples, got {x.size}")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     duration = (x.size - 1) * dt
     return _count_zero_crossings(x, _scale_floor(x)) / (2.0 * duration)
 

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .core import Channel, SampleWindow, _Shared
+from .core import MIN_WINDOW_SAMPLES, Channel, SampleWindow, _Shared
 
 logger = logging.getLogger(__name__)
 
@@ -92,8 +92,8 @@ class WindowingPolicy:
             raise ValueError("max_gap_fraction must lie in [0, 1)")
         if not math.isfinite(self.window_seconds / self.expected_dt):
             raise ValueError("window_seconds / expected_dt must be finite")
-        if self.window_samples < 4:
-            raise ValueError(f"a window must hold at least 4 samples, got {self.window_samples}")
+        if self.window_samples < MIN_WINDOW_SAMPLES:
+            raise ValueError(f"a window must hold at least {MIN_WINDOW_SAMPLES} samples, got {self.window_samples}")
 
     @property
     def window_samples(self) -> int:
@@ -204,7 +204,9 @@ def make_windows(
     expected_dt; windows of window_samples advance by stride_samples.
     Missing or irregular slots up to max_gap_fraction of a window are
     linearly interpolated; beyond that the window is skipped with a
-    diagnostic. Emitted windows are ordered by (station, channel, t0).
+    diagnostic, as is a window whose interpolation overflows (between
+    values near float's limit). Emitted windows are ordered by (station,
+    channel, t0).
     As records arrive, each stream keeps only their timestamps and values
     in two typed buffers, 16 bytes a record (a missing value as NaN), so
     a record streamed in, as from `read_archive`, is freed once appended.
@@ -305,21 +307,27 @@ def _stream_windows(
     # its gapless windows' copies would hold as much
     share = np.count_nonzero(counts == 0) * width >= values.size
     windows = []
+
+    def skip(t0: int, reason: str) -> None:
+        message = f"stream {station}/{channel.value}: window t0={t0} skipped, {reason}"
+        logger.warning(message)
+        if diagnostics is not None:
+            diagnostics.append(message)
+
     for start, first, n_missing in zip(starts.tolist(), firsts.tolist(), counts.tolist()):
         t0 = int(round(t_start + start * dt_ms))
         if n_missing / width > policy.max_gap_fraction:
-            message = (
-                f"stream {station}/{channel.value}: window t0={t0} skipped, "
-                f"{n_missing}/{width} samples missing"
-            )
-            logger.warning(message)
-            if diagnostics is not None:
-                diagnostics.append(message)
+            skip(t0, f"{n_missing}/{width} samples missing")
             continue
         last = first + width - n_missing
         segment = values[first:last]
         if n_missing:
+            # gapless windows are slices of finite values, never overflowed
             segment = np.interp(np.arange(width), slots[first:last] - start, segment)
+            overflow = np.flatnonzero(~np.isfinite(segment))
+            if overflow.size:
+                skip(t0, f"interpolated sample {overflow[0]} is not finite")
+                continue
             segment.flags.writeable = False
         if n_missing or share:
             segment = _Shared(segment)

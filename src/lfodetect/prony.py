@@ -173,14 +173,14 @@ def roots_to_modes(roots, dt: float) -> list[tuple[float, float]]:
     """(damping, frequency) per root group: damping = Re(log z)/dt and
     frequency = |Im(log z)| / (2*pi*dt).
 
-    The root list must be conjugate-closed and free of zero roots
-    (ValueError otherwise). Conjugate pairs collapse to one entry with
-    frequency >= 0; real positive roots map to frequency 0; real negative
-    roots land on the Nyquist frequency. Entries align one-to-one with
-    solve_amplitudes output for the same root list.
+    The root list must be conjugate-closed and free of zero roots, and dt
+    positive and finite (ValueError otherwise). Conjugate pairs collapse to
+    one entry with frequency >= 0; real positive roots map to frequency 0;
+    real negative roots land on the Nyquist frequency. Entries align
+    one-to-one with solve_amplitudes output for the same root list.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     ln = np.log(_group_roots(roots))
     return list(zip((ln.real / dt).tolist(), (np.abs(ln.imag) / (TWO_PI * dt)).tolist()))
 

@@ -12,11 +12,12 @@ with; a sine tone is a cosine tone with its phase shifted by -pi/2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Channel, SampleWindow, mode_matrix
+from .core import MIN_WINDOW_SAMPLES, Channel, SampleWindow, mode_matrix
 
 
 class InvalidSpec(ValueError):
@@ -58,10 +59,10 @@ class SynthSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "tones", tuple(self.tones))
-        if self.count < 4:
-            raise InvalidSpec(f"count must be >= 4, got {self.count}")
-        if self.dt <= 0:
-            raise InvalidSpec(f"dt must be positive, got {self.dt}")
+        if self.count < MIN_WINDOW_SAMPLES:
+            raise InvalidSpec(f"count must be >= {MIN_WINDOW_SAMPLES}, got {self.count}")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise InvalidSpec(f"dt must be positive and finite, got {self.dt}")
         if self.noise_snr_db is not None and self.noise_sigma is not None:
             raise InvalidSpec("give either noise_snr_db or noise_sigma, not both")
         if self.noise_sigma is not None and self.noise_sigma < 0:
@@ -71,6 +72,7 @@ class SynthSpec:
             raise InvalidSpec(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def generate(
     spec: SynthSpec,
     *,
@@ -84,7 +86,9 @@ def generate(
     drawn from a generator seeded with rng_seed).
 
     Raises:
-        InvalidSpec: noise_snr_db given but the tone sum carries no power.
+        InvalidSpec: noise_snr_db given but the tone sum carries no power,
+            or a sample is not finite (a tone or the noise overflows float
+            range); the message names the first such sample.
     """
     params = [(tone.amplitude, tone.damping, tone.frequency, tone.phase) for tone in spec.tones]
     samples = np.zeros(spec.count)
@@ -106,4 +110,7 @@ def generate(
         rng = np.random.default_rng(spec.rng_seed)
         samples = samples + sigma * rng.standard_normal(spec.count)
 
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if bad.size:
+        raise InvalidSpec(f"synthesised sample {bad[0]} is not finite: the spec overflows float range")
     return SampleWindow(station_id, channel, t0_ms, spec.dt, samples)

@@ -138,6 +138,19 @@ class TestAnalyze:
         assert run("analyze", archive, "--out-dir", tmp_path / "out") == 2
         assert "s1/Frequency_Hz" in capsys.readouterr().err
 
+    def test_flat_window_is_no_excitation(self, tmp_path):
+        # a dead channel reporting zeros beside a live one: the flat window
+        # is noted, not fatal to the run
+        tone = SampleWindow("live", Channel.Frequency_Hz, 0, 0.04, np.cos(2 * np.pi * 0.7 * np.arange(626) * 0.04))
+        archive = tmp_path / "a.csv"
+        write_archive(archive, [SampleWindow("dead", Channel.Frequency_Hz, 0, 0.04, np.zeros(626)), tone])
+        out = tmp_path / "out"
+        assert run("analyze", archive, "--out-dir", out) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert [(e["station_id"], e["outcome"], e["artifacts"]) for e in manifest["windows"]] == [
+            ("dead", "no-excitation", []), ("live", "analyzed", ["live_Frequency_Hz_0_modes.csv"])]
+        assert sorted(p.name for p in out.iterdir()) == ["live_Frequency_Hz_0_modes.csv", "run_manifest.json"]
+
     def test_dump_imfs(self, tmp_path):
         archive = tmp_path / "a.csv"
         run("synth", "--tone", "1,0.7", "--seconds", "25.04", "-o", archive)
@@ -479,15 +492,20 @@ class TestBadConfig:
             ("analyze", ["--config", "x.json"]),
             ("detect", ["--config", "x.json"]),
             ("spectrum", ["--config", "x.json"]),
+            ("analyze", ["--max-gap-fraction", "0.1"]),
+            ("detect", ["--max-gap-fraction", "0.1"]),
+            ("spectrum", ["--max-gap-fraction", "0.1"]),
         ],
         ids=["match-tolerance-nan", "match-tolerance-inf", "match-tolerance", "detect-min-amplitude-fraction",
              "analyze-min-amplitude-fraction", "detect-order", "analyze-config-file", "detect-config-file",
-             "spectrum-config-file"],
+             "spectrum-config-file", "analyze-max-gap-fraction", "detect-max-gap-fraction",
+             "spectrum-max-gap-fraction"],
     )
     def test_fixed_rule_has_no_flag(self, growing_archive, tmp_path, capsys, command, flags):
         # the match tolerance and the amplitude floors are constants of the
-        # method, detect runs at the automatic order, and flags are the
-        # only settings: there is no settings file
+        # method, detect runs at the automatic order, every command windows
+        # at the policy's 1% gap fraction, and flags are the only settings:
+        # there is no settings file
         assert run(command, growing_archive, "--out-dir", tmp_path / "o", *flags) == 2
         assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -572,26 +590,23 @@ class TestExitCodeContract:
             (["synth", "--tone", "0.1,0.52", "-o", "{file}/x.csv"], "File exists"),
             (["synth", "--tone", "0.1,0.52", "--snr-db", "40", "--seed", "-1", "-o", "{tmp}/neg.csv"],
              "rng_seed must be >= 0, got -1"),
-            # an error inside a window's analysis names the window:
-            # 1e308 and -1e308 around a one-sample gap interpolate to -inf
-            (["detect", "{huge}"], "error: synthetic_Frequency_Hz_0: sample 101 is not finite"),
+            # a tone growing past float range, and noise scaled from a tone
+            # power past it: no archive of inf and nan samples
+            (["synth", "--tone", "1,0.5,50", "--seconds", "25.04", "-o", "{tmp}/grow.csv"],
+             "synthesised sample 355 is not finite"),
+            (["synth", "--tone", "1e308,0.5", "--snr-db", "40", "--seconds", "25.04", "-o", "{tmp}/loud.csv"],
+             "synthesised sample 0 is not finite"),
         ],
         ids=["analyze-out-dir-is-file", "detect-out-dir-is-file",
              "spectrum-out-dir-is-file", "out-dir-under-file", "synth-output-under-file", "synth-negative-seed",
-             "interpolated-sample-not-finite"],
+             "synth-tone-overflows", "synth-noise-overflows"],
     )
     def test_input_error_exits_2_with_one_line(self, tmp_path, capsys, argv, message):
         archive = tmp_path / "a.csv"
         run("synth", "--tone", "1,0.7", "--seconds", "25.04", "-o", archive)
-        lines = archive.read_text().splitlines(keepends=True)
-        # samples 100 and 102 sit on lines 101 and 103; sample 101 is missing
-        lines[101] = lines[101].rsplit(",", 1)[0] + ",1e308\n"
-        lines[103] = lines[103].rsplit(",", 1)[0] + ",-1e308\n"
-        del lines[102]
-        (tmp_path / "huge.csv").write_text("".join(lines))
         (tmp_path / "file").write_text("")
         capsys.readouterr()
-        names = {"archive": archive, "file": tmp_path / "file", "tmp": tmp_path, "huge": tmp_path / "huge.csv"}
+        names = {"archive": archive, "file": tmp_path / "file", "tmp": tmp_path}
         argv = [arg.format(**names) for arg in argv]
         if argv[0] != "synth" and "--out-dir" not in argv:
             argv += ["--out-dir", str(tmp_path / "o")]
@@ -600,7 +615,28 @@ class TestExitCodeContract:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert message in err
-        assert not (tmp_path / "neg.csv").exists()
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["a.csv"]
+
+    @pytest.mark.parametrize("command", ["analyze", "detect", "spectrum"])
+    def test_overflowing_interpolation_skips_window(self, tmp_path, capsys, command):
+        # 1e308 and -1e308 around a one-sample gap interpolate to -inf: the
+        # window is skipped like an over-gapped one, not fatal to the run
+        archive = tmp_path / "a.csv"
+        run("synth", "--tone", "1,0.7", "--seconds", "25.04", "-o", archive)
+        lines = archive.read_text().splitlines(keepends=True)
+        # samples 100 and 102 sit on lines 101 and 103; sample 101 is missing
+        lines[101] = lines[101].rsplit(",", 1)[0] + ",1e308\n"
+        lines[103] = lines[103].rsplit(",", 1)[0] + ",-1e308\n"
+        del lines[102]
+        archive.write_text("".join(lines))
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run(command, archive, "--out-dir", out) == 0
+        assert capsys.readouterr().out == "no windows\n"
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["note"] == "no windows"
+        assert manifest["skipped_windows"] == [
+            "stream synthetic/Frequency_Hz: window t0=0 skipped, interpolated sample 101 is not finite"]
 
 
 class TestAtomicWrite:

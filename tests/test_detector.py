@@ -1,10 +1,15 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from lfodetect import (
+    AlarmEvent,
     AnalysisConfig,
+    Channel,
     ModeClass,
     PronyMode,
     Severity,
@@ -164,6 +169,18 @@ class TestDetect:
         assert a2.severity == a1.severity
         assert a2.matched_frequency_hz == pytest.approx(a1.matched_frequency_hz, abs=1e-6)
         assert a2.prony_mode.amplitude == pytest.approx(7.0 * a1.prony_mode.amplitude, rel=1e-6)
+
+    def test_alarm_record_holds_every_field(self):
+        w = generate(SynthSpec(tones=(ToneSpec(0.1, 0.52, damping=0.05),), dt=0.04, count=626, noise_snr_db=40, rng_seed=3))
+        (alarm,) = detect(w).alarms
+        record = alarm.to_json_dict()
+        assert set(record) == {f.name for f in dataclasses.fields(AlarmEvent)}
+        assert set(record["prony_mode"]) == {f.name for f in dataclasses.fields(PronyMode)}
+        assert set(record["fft_peak"]) == {f.name for f in dataclasses.fields(SpectrumPeak)}
+        assert (record["channel"], record["classes"], record["severity"]) == ("Frequency_Hz", ["InterArea"], "Critical")
+        # plain JSON values, and the alarm's own fields left as they were
+        assert json.loads(json.dumps(record)) == record
+        assert alarm.channel is Channel.Frequency_Hz and alarm.classes == {ModeClass.InterArea}
 
     def test_report_invariants(self):
         w = generate(

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -42,6 +43,11 @@ class TestMeanFrequency:
     def test_rejects_short_input(self):
         with pytest.raises(ValueError):
             mean_frequency([1.0, -1.0, 1.0], 0.04)
+
+    @pytest.mark.parametrize("dt", [0.0, math.nan, math.inf], ids=["zero-dt", "nan-dt", "inf-dt"])
+    def test_rejects_dt_not_positive_and_finite(self, dt):
+        with pytest.raises(ValueError, match=r"^dt must be positive and finite, got "):
+            mean_frequency(np.cos(np.arange(50)), dt)
 
     def test_sub_scale_wiggles_do_not_inflate(self):
         # a 0.5 Hz tone with 1% fast ripple still reads ~0.5 Hz

@@ -226,6 +226,16 @@ class TestMakeWindows:
         assert windows == []
         assert diagnostics and "skipped" in diagnostics[0]
 
+    def test_overflowing_interpolation_skips_window(self):
+        records = _clean_records(626)
+        records[100] = records[100]._replace(value=1e308)
+        records[102] = records[102]._replace(value=-1e308)
+        del records[101]
+        diagnostics = []
+        windows = make_windows(records, WindowingPolicy(window_seconds=25.0, stride_seconds=25.0), diagnostics)
+        assert windows == []
+        assert diagnostics == ["stream s1/Frequency_Hz: window t0=0 skipped, interpolated sample 101 is not finite"]
+
     def test_dt_mismatch(self):
         records = [ArchiveRecord(i * 80, "s1", Channel.Frequency_Hz, 1.0) for i in range(100)]
         with pytest.raises(DtMismatch) as exc:
@@ -472,7 +482,8 @@ def _reference_read(path, report):
 
 def _reference_make_windows(records, policy, diagnostics):
     """`make_windows` as it was before the array rewrite: a key-function sort
-    and a slotting loop per record, first regular record wins a slot."""
+    and a slotting loop per record, first regular record wins a slot; and,
+    as since, a window whose interpolation overflows is skipped."""
     streams = {}
     for rec in records:
         streams.setdefault((rec.station_id, rec.channel.value), []).append(rec)
@@ -524,7 +535,14 @@ def _reference_make_windows(records, policy, diagnostics):
                 if n_missing:
                     idx = np.arange(width)
                     segment = np.interp(idx, idx[~missing], segment[~missing])
-                windows.append(ingest.SampleWindow(station, channel, t0, policy.expected_dt, segment))
+                overflow = np.flatnonzero(~np.isfinite(segment))
+                if overflow.size:
+                    diagnostics.append(
+                        f"stream {station}/{channel_value}: window t0={t0} skipped, "
+                        f"interpolated sample {overflow[0]} is not finite"
+                    )
+                else:
+                    windows.append(ingest.SampleWindow(station, channel, t0, policy.expected_dt, segment))
             start += policy.stride_samples
     return windows
 
@@ -654,6 +672,10 @@ class TestMatchesReference:
 
     @settings(max_examples=300)
     @given(_windowing_cases())
+    # 1e308 and -1.7e308 flank a missing slot: its interpolation overflows
+    @example(([ArchiveRecord(40 * k, "a", Channel.Frequency_Hz, v)
+               for k, v in ((0, 1.0), (1, 1e308), (3, -1.7e308), (4, 2.0), (5, 3.0))],
+              WindowingPolicy(window_seconds=0.16, stride_seconds=0.04, expected_dt=0.04, max_gap_fraction=0.3)))
     def test_make_windows_matches_reference(self, case):
         records, policy = case
         assert _windowing_outcome(make_windows, records, policy) == _windowing_outcome(

@@ -223,10 +223,12 @@ class TestRootsToModes:
         [
             ([0.9 + 0j], 0.0),
             ([0.9 + 0j], -0.04),
+            ([0.9 + 0j], math.nan),
+            ([0.9 + 0j], math.inf),
             ([cmath.exp(0.3j)], 0.04),
             ([0.0 + 0j, 0.9 + 0j], 0.04),
         ],
-        ids=["zero-dt", "negative-dt", "unpaired-complex-root", "zero-root"],
+        ids=["zero-dt", "negative-dt", "nan-dt", "inf-dt", "unpaired-complex-root", "zero-root"],
     )
     def test_rejects_invalid_input(self, roots, dt):
         with pytest.raises(ValueError):

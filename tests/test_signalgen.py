@@ -140,6 +140,23 @@ class TestInvalidSpecs:
         with pytest.raises(InvalidSpec):
             SynthSpec(tones=(ToneSpec(1.0, 1.0),), dt=0.0, count=100)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf], ids=["nan-dt", "inf-dt"])
+    def test_non_finite_dt(self, dt):
+        with pytest.raises(InvalidSpec, match=r"^dt must be positive and finite, got "):
+            SynthSpec(tones=(ToneSpec(1.0, 1.0),), dt=dt, count=100)
+
+    @pytest.mark.parametrize(
+        "tone, snr_db, first",
+        [(ToneSpec(1.0, 0.5, damping=50.0), None, 355), (ToneSpec(1e308, 0.5), 40.0, 0)],
+        ids=["tone-overflows", "noise-overflows"],
+    )
+    def test_non_finite_sample_refused(self, tone, snr_db, first):
+        # e**(50 t) passes float range at t = 14.2 s; a 1e308 tone's power
+        # overflows, and so does the noise scaled from it
+        spec = SynthSpec(tones=(tone,), dt=0.04, count=626, noise_snr_db=snr_db)
+        with pytest.raises(InvalidSpec, match=rf"^synthesised sample {first} is not finite"):
+            generate(spec)
+
     def test_snr_without_tone_power(self):
         with pytest.raises(InvalidSpec):
             generate(SynthSpec(tones=(), dt=0.04, count=100, noise_snr_db=30))
