@@ -47,7 +47,6 @@ from .prony import (
     characteristic_roots,
     fit_lpm,
     prony_analyze,
-    reconstruct,
     roots_to_modes,
     solve_amplitudes,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "match_modes",
     "prony_analyze",
     "read_archive",
-    "reconstruct",
     "roots_to_modes",
     "solve_amplitudes",
     "validate_window",

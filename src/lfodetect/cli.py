@@ -23,6 +23,7 @@ from pathlib import Path
 from . import __version__, detector, emd, prony, signalgen, spectrum
 from .core import AnalysisConfig, EmptyBand, Severity
 from .ingest import (
+    MAX_GAP_FRACTION,
     DtMismatch,
     ParseReport,
     SchemaMismatch,
@@ -37,7 +38,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CRITICAL = 3
 
-#: WindowingPolicy fields set by flags of the same name; max_gap_fraction stays at its 1%.
+#: The WindowingPolicy fields, each set by the flag of the same name; the
+#: 1% gap rule is the fixed ingest.MAX_GAP_FRACTION.
 _POLICY_KEYS = ("window_seconds", "stride_seconds", "expected_dt")
 
 
@@ -175,7 +177,8 @@ def _manifest(command: str, policy, config: dict, archive: Path, entries, diagno
         "tool": {"name": "lfodetect", "version": __version__},
         "command": command,
         "inputs": [{"path": str(archive), "sha256": _sha256(archive)}],
-        "windowing": dataclasses.asdict(policy),
+        # the fixed gap rule follows the settable fields
+        "windowing": {**dataclasses.asdict(policy), "max_gap_fraction": MAX_GAP_FRACTION},
         "config": config,
         "windows": entries,
         "skipped_windows": diagnostics,
@@ -242,6 +245,7 @@ def cmd_synth(args) -> int:
     try:
         window = signalgen.generate(spec)
     except signalgen.InvalidSpec:
+        # a ValueError too, which the clause below would misreport as memory
         raise
     except (MemoryError, ValueError) as exc:
         # numpy refuses the sample array: out of memory, or past its size limit

@@ -254,20 +254,6 @@ def _balance(x: np.ndarray, idx: np.ndarray) -> int:
     return int(idx.size) - _count_zero_crossings(x[idx])
 
 
-def imf_balance(samples) -> int:
-    """Extrema count minus zero-crossing count, both measured on the
-    persistent extrema skeleton (0.2 rms swing floor); an ideal IMF keeps
-    |balance| <= 1.
-
-    Each sign alternation between consecutive surviving extrema implies
-    exactly one essential zero crossing, so an oscillation about zero
-    scores K extrema against K - 1 crossings, while riding waves (adjacent
-    extrema on the same side of zero) push the balance up.
-    """
-    x = np.asarray(samples, dtype=float)
-    return _balance(x, _skeleton(x)[0])
-
-
 def _sift(x: np.ndarray) -> np.ndarray | None:
     """Extract one IMF from x, or None when x cannot be sifted at all.
 

@@ -39,6 +39,10 @@ _UNDECODABLE = re.compile("[\udc80-\udcff]")
 #: as irregular (the slot stays missing).
 _SLOT_TOLERANCE = 0.1
 
+#: Most of a window that may be missing or irregular and interpolated;
+#: a window with more is skipped.
+MAX_GAP_FRACTION = 0.01
+
 #: Timestamps are windowed as int64; a line whose timestamp does not fit
 #: is a bad timestamp.
 _TIMESTAMP_MIN, _TIMESTAMP_MAX = -(2**63), 2**63 - 1
@@ -71,14 +75,13 @@ class ArchiveRecord(NamedTuple):
 class WindowingPolicy:
     """How to cut per-channel streams into analysis windows.
 
-    Defaults: 25 s windows advancing by 5 s over 25 frames/s data, with at
-    most 1% of a window missing or irregular.
+    Defaults: 25 s windows advancing by 5 s over 25 frames/s data. At most
+    MAX_GAP_FRACTION of a window may be missing or irregular.
     """
 
     window_seconds: float = 25.0
     stride_seconds: float = 5.0
     expected_dt: float = 0.04
-    max_gap_fraction: float = 0.01
 
     def __post_init__(self):
         for name in ("window_seconds", "stride_seconds", "expected_dt"):
@@ -88,8 +91,6 @@ class WindowingPolicy:
             raise ValueError(f"expected_dt must be positive, got {self.expected_dt}")
         if not (0 < self.stride_seconds <= self.window_seconds):
             raise ValueError("stride must satisfy 0 < stride <= window")
-        if not (0 <= self.max_gap_fraction < 1):
-            raise ValueError("max_gap_fraction must lie in [0, 1)")
         if not math.isfinite(self.window_seconds / self.expected_dt):
             raise ValueError("window_seconds / expected_dt must be finite")
         if self.window_samples < MIN_WINDOW_SAMPLES:
@@ -202,7 +203,7 @@ def make_windows(
 
     Records are sorted by timestamp and snapped onto a uniform grid of
     expected_dt; windows of window_samples advance by stride_samples.
-    Missing or irregular slots up to max_gap_fraction of a window are
+    Missing or irregular slots up to MAX_GAP_FRACTION (1%) of a window are
     linearly interpolated; beyond that the window is skipped with a
     diagnostic, as is a window whose interpolation overflows (between
     values near float's limit). Emitted windows are ordered by (station,
@@ -316,7 +317,7 @@ def _stream_windows(
 
     for start, first, n_missing in zip(starts.tolist(), firsts.tolist(), counts.tolist()):
         t0 = int(round(t_start + start * dt_ms))
-        if n_missing / width > policy.max_gap_fraction:
+        if n_missing / width > MAX_GAP_FRACTION:
             skip(t0, f"{n_missing}/{width} samples missing")
             continue
         last = first + width - n_missing

@@ -224,12 +224,6 @@ def solve_amplitudes(w: SampleWindow, roots) -> list[tuple[float, float]]:
     ]
 
 
-def reconstruct(fit: PronyFit, count: int, dt: float) -> np.ndarray:
-    """Evaluate the fitted mode sum on a fresh time grid of `count` samples."""
-    params = [(m.amplitude, m.damping, m.frequency, m.phase) for m in fit.modes]
-    return mode_matrix(params, count, dt).sum(axis=1)
-
-
 def prony_analyze(w: SampleWindow, cfg: AnalysisConfig | None = None) -> PronyFit:
     """Full decomposition of a (typically band-passed) window.
 

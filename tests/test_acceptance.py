@@ -15,7 +15,6 @@ import pytest
 
 import lfodetect as lf
 from lfodetect.cli import main as cli_main
-from lfodetect.emd import imf_balance
 
 
 def criterion(name):
@@ -81,7 +80,7 @@ def test_ac2_noisy_recovery():
 
 
 @criterion("AC3 EMD reconstruction and IMF balance")
-def test_ac3_emd_reconstruction():
+def test_ac3_emd_reconstruction(imf_balance):
     rng = np.random.default_rng(77)
     for case in range(50):
         n_tones = int(rng.integers(1, 5))

@@ -1,0 +1,73 @@
+"""The package's public surface: every name `import lfodetect` offers."""
+
+import lfodetect
+from lfodetect import emd, prony
+
+#: The whole public API, in `__all__` order, so that adding, removing or
+#: renaming a public name shows up as a reviewed change to this list.
+PUBLIC_NAMES = [
+    "__version__",
+    "CONTROL_HUNT_BAND",
+    "MODE_BANDS",
+    "AlarmEvent",
+    "AnalysisConfig",
+    "ArchiveRecord",
+    "Channel",
+    "DetectionReport",
+    "DtMismatch",
+    "EmptyBand",
+    "FileUnreadable",
+    "Imf",
+    "ImfSet",
+    "InsufficientExcitation",
+    "InvalidSpec",
+    "ModeClass",
+    "NonFiniteSample",
+    "NonPositiveDt",
+    "OrderTooHigh",
+    "ParseReport",
+    "PronyFit",
+    "PronyMode",
+    "RootSolverDiverged",
+    "SampleWindow",
+    "SchemaMismatch",
+    "Severity",
+    "Spectrum",
+    "SpectrumPeak",
+    "SynthSpec",
+    "ToneSpec",
+    "ValidationError",
+    "WindowFunction",
+    "WindowTooShort",
+    "WindowingPolicy",
+    "bandpass",
+    "characteristic_roots",
+    "classify",
+    "decompose",
+    "detect",
+    "dft",
+    "find_peaks",
+    "fit_lpm",
+    "generate",
+    "make_windows",
+    "match_modes",
+    "prony_analyze",
+    "read_archive",
+    "roots_to_modes",
+    "solve_amplitudes",
+    "validate_window",
+    "wrap_angle",
+    "write_archive",
+]
+
+
+def test_public_names():
+    assert lfodetect.__all__ == PUBLIC_NAMES
+    assert all(hasattr(lfodetect, name) for name in PUBLIC_NAMES)
+
+
+def test_test_only_helpers_are_not_in_the_package():
+    # mode sums and the IMF balance are checks the tests compute for
+    # themselves; the pipeline never calls them
+    assert not hasattr(prony, "reconstruct")
+    assert not hasattr(emd, "imf_balance")

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -13,6 +12,9 @@ from lfodetect.core import AnalysisConfig, Channel, PronyMode, SampleWindow
 from lfodetect.ingest import WindowingPolicy, _atomic_write, write_archive
 
 HEADER = "timestamp_ms,station_id,channel,value"
+
+#: The manifest's `windowing` record at the default flags, in its key order.
+_DEFAULT_WINDOWING = {"window_seconds": 25.0, "stride_seconds": 5.0, "expected_dt": 0.04, "max_gap_fraction": 0.01}
 
 
 def run(*args):
@@ -269,26 +271,27 @@ class TestManifest:
         assert produced == set(manifest["artifacts"])
 
     @pytest.mark.parametrize(
-        "command, flags, policy, config",
+        "command, flags, windowing, config",
         [
-            ("detect", [], WindowingPolicy(), {"band_hz": [0.1, 2.0]}),
+            ("detect", [], _DEFAULT_WINDOWING, {"band_hz": [0.1, 2.0]}),
             (
                 "detect",
                 ["--window-seconds", "15", "--stride-seconds", "4", "--band", "0.2,3"],
-                WindowingPolicy(window_seconds=15.0, stride_seconds=4.0),
+                {**_DEFAULT_WINDOWING, "window_seconds": 15.0, "stride_seconds": 4.0},
                 {"band_hz": [0.2, 3.0]},
             ),
-            ("analyze", [], WindowingPolicy(), {"prony_order": None, "band_hz": [0.1, 2.0]}),
-            ("analyze", ["--order", "20", "--emd", "--band", "0.2,3"], WindowingPolicy(),
+            ("analyze", [], _DEFAULT_WINDOWING, {"prony_order": None, "band_hz": [0.1, 2.0]}),
+            ("analyze", ["--order", "20", "--emd", "--band", "0.2,3"], _DEFAULT_WINDOWING,
              {"prony_order": 20, "band_hz": [0.2, 3.0]}),
         ],
         ids=["defaults", "flags", "analyze-defaults", "analyze-flags"],
     )
-    def test_records_resolved_settings(self, growing_archive, tmp_path, command, flags, policy, config):
+    def test_records_resolved_settings(self, growing_archive, tmp_path, command, flags, windowing, config):
         out = tmp_path / "out"
         run(command, growing_archive, "--out-dir", out, *flags)
         manifest = json.loads((out / "run_manifest.json").read_text())
-        assert manifest["windowing"] == dataclasses.asdict(policy)
+        # the fixed 1% gap rule is recorded too, last, as it always was
+        assert list(manifest["windowing"].items()) == list(windowing.items())
         # only settings that can be set: the match tolerance and the
         # amplitude floors are constants of the method, and detect runs
         # at the automatic order
@@ -307,7 +310,7 @@ class TestManifest:
         assert run("spectrum", growing_archive, "--out-dir", out, *flags) == 0
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["config"] == config
-        assert manifest["windowing"] == dataclasses.asdict(WindowingPolicy())
+        assert list(manifest["windowing"].items()) == list(_DEFAULT_WINDOWING.items())
 
 
 def _reference_csv(header, rows):

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import os
@@ -362,7 +363,7 @@ class TestMakeWindows:
         # the last stamp lies more than 2**63 ms after the first
         dt = 1.1e15
         records = [ArchiveRecord(-5 * 10**18 + k * 11 * 10**17, "s1", Channel.Frequency_Hz, float(k)) for k in range(10)]
-        policy = WindowingPolicy(window_seconds=3 * dt, stride_seconds=dt, expected_dt=dt, max_gap_fraction=0.3)
+        policy = WindowingPolicy(window_seconds=3 * dt, stride_seconds=dt, expected_dt=dt)
         outcome = _windowing_outcome(make_windows, records, policy)
         assert outcome == _windowing_outcome(_reference_make_windows, records, policy)
         assert len(outcome[0]) == 7 and outcome[1] == []
@@ -416,8 +417,13 @@ class TestWindowingPolicy:
             WindowingPolicy(expected_dt=0.0)
         with pytest.raises(ValueError):
             WindowingPolicy(stride_seconds=30.0, window_seconds=25.0)
-        with pytest.raises(ValueError):
-            WindowingPolicy(max_gap_fraction=1.0)
+        # the gap rule is the fixed ingest.MAX_GAP_FRACTION, not a setting
+        with pytest.raises(TypeError):
+            WindowingPolicy(max_gap_fraction=0.3)
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(WindowingPolicy)] == [
+            "window_seconds", "stride_seconds", "expected_dt"]
 
     def test_window_of_fewer_than_four_samples_rejected(self):
         # 2.5 intervals round half to even, to 2 intervals: 3 samples
@@ -526,7 +532,7 @@ def _reference_make_windows(records, policy, diagnostics):
             missing = np.isnan(segment)
             n_missing = int(missing.sum())
             t0 = int(round(t_start + start * dt_ms))
-            if n_missing / width > policy.max_gap_fraction:
+            if n_missing / width > ingest.MAX_GAP_FRACTION:
                 diagnostics.append(
                     f"stream {station}/{channel_value}: window t0={t0} skipped, "
                     f"{n_missing}/{width} samples missing"
@@ -569,35 +575,44 @@ _BASES = (0, -1_000_000, 1_700_000_000_000, 2**53 - 4_000, 2**62, 2**63 - 2**20,
 def _windowing_cases(draw):
     """Records for several streams on one sample grid, with duplicate
     timestamps, missing values, ±0.0 ties, offsets at and just past the slot
-    tolerance and at half a sample, streams of 0 to 2 records, in shuffled
-    order; and a small policy on that grid."""
+    tolerance and at half a sample, dropped slots and runs of them, streams
+    of 0 to 2 records, in shuffled order; and a policy on that grid. Windows
+    of under 100 samples, where the 1% gap rule allows no gap, and of 100 or
+    more, where it allows one or two, so gapless, interpolated and skipped
+    windows all occur."""
     dt = draw(st.sampled_from((0.04, 0.02, 0.1 / 3)))
     dt_ms = dt * 1000.0
     tol = ingest._SLOT_TOLERANCE * dt_ms
     offsets = sorted({0, 1, -1, math.floor(tol), -math.floor(tol), math.floor(tol) + 1,
                       -math.floor(tol) - 1, round(dt_ms / 2), -round(dt_ms / 2)})
-    offset = st.sampled_from([0] * 40 + offsets)
+    offset = st.sampled_from([0] * 4 + offsets)
     value = st.one_of(st.sampled_from([None] + [0.0, -0.0, 1.0, -2.5] * 2),
                       st.floats(allow_nan=False, allow_infinity=False))
     base = draw(st.sampled_from(_BASES))
+    # intervals per window: 98 and 99 flank the 100 samples where one gap
+    # becomes allowed, 199 and 200 the 201 where a third is not
+    window = draw(st.one_of(st.integers(3, 12), st.sampled_from([98, 99, 199, 200]), st.integers(99, 240)))
     keys = draw(st.lists(st.tuples(st.sampled_from(["a", "b"]),
                                    st.sampled_from([Channel.Frequency_Hz, Channel.VoltageMag_pu])),
                          min_size=1, max_size=4, unique=True))
+    record = st.tuples(offset, value)
     records = []
     for station, channel in keys:
-        span = draw(st.integers(0, 60))
+        span = draw(st.integers(0, 2 * window + 60))
         if draw(st.integers(0, 3)) == 0:  # a short stream: 0 to 2 records anywhere
-            slots = draw(st.lists(st.integers(0, span), max_size=2))
-        else:  # the whole grid, a few slots dropped, a few repeated
+            placed = draw(st.lists(st.tuples(st.integers(0, span), record), max_size=2))
+        else:  # the whole grid, a few slots and a run dropped, a few repeated
             dropped = draw(st.sets(st.integers(0, span), max_size=3))
-            slots = [k for k in range(span + 1) if k not in dropped]
-            slots += draw(st.lists(st.integers(0, span), max_size=8))
-        for slot in slots:
-            ts = base + round(slot * dt_ms) + draw(offset)
-            records.append(ArchiveRecord(ts, station, channel, draw(value)))
-    window = draw(st.integers(3, 12))
-    policy = WindowingPolicy(window_seconds=window * dt, stride_seconds=draw(st.integers(1, window)) * dt,
-                             expected_dt=dt, max_gap_fraction=draw(st.sampled_from([0.0, 0.1, 0.3])))
+            run = draw(st.integers(0, span))
+            dropped.update(range(run, run + draw(st.integers(0, 3))))
+            # a record sits on its slot with a plain value unless drawn
+            drawn = draw(st.dictionaries(st.integers(0, span), record, max_size=6))
+            placed = [(k, drawn.get(k, (0, float(k % 7)))) for k in range(span + 1) if k not in dropped]
+            placed += draw(st.lists(st.tuples(st.integers(0, span), record), max_size=8))
+        records += [ArchiveRecord(base + round(k * dt_ms) + shift, station, channel, v)
+                    for k, (shift, v) in placed]
+    policy = WindowingPolicy(window_seconds=window * dt,
+                             stride_seconds=draw(st.integers(1, window)) * dt, expected_dt=dt)
     return draw(st.permutations(records)), policy
 
 
@@ -672,10 +687,11 @@ class TestMatchesReference:
 
     @settings(max_examples=300)
     @given(_windowing_cases())
-    # 1e308 and -1.7e308 flank a missing slot: its interpolation overflows
-    @example(([ArchiveRecord(40 * k, "a", Channel.Frequency_Hz, v)
-               for k, v in ((0, 1.0), (1, 1e308), (3, -1.7e308), (4, 2.0), (5, 3.0))],
-              WindowingPolicy(window_seconds=0.16, stride_seconds=0.04, expected_dt=0.04, max_gap_fraction=0.3)))
+    # 1e308 and -1.7e308 flank the one missing slot of 100-sample windows,
+    # which 1% allows: its interpolation overflows
+    @example(([ArchiveRecord(40 * k, "a", Channel.Frequency_Hz, {49: 1e308, 51: -1.7e308}.get(k, float(k)))
+               for k in range(102) if k != 50],
+              WindowingPolicy(window_seconds=3.96, stride_seconds=0.04, expected_dt=0.04)))
     def test_make_windows_matches_reference(self, case):
         records, policy = case
         assert _windowing_outcome(make_windows, records, policy) == _windowing_outcome(
