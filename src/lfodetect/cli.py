@@ -282,9 +282,9 @@ def cmd_analyze(args) -> int:
         # only the EMD band-pass reads the band
         if args.band is not None and not args.emd:
             raise ValueError("band applies only with --emd")
-        cfg = AnalysisConfig(prony_order=args.order, emd_band_hz=args.band or AnalysisConfig.emd_band_hz)
-        if cfg.prony_order is not None:
-            prony.check_order(policy.window_samples, cfg.prony_order)
+        cfg = AnalysisConfig(emd_band_hz=args.band or AnalysisConfig.emd_band_hz)
+        if args.order is not None:
+            prony.check_order(policy.window_samples, args.order)
         if args.emd:
             spectrum.check_band_below_nyquist(cfg.emd_band_hz, 0.5 / policy.expected_dt)
         return cfg
@@ -300,7 +300,7 @@ def cmd_analyze(args) -> int:
             except EmptyBand:
                 return "empty-band", []
         try:
-            fit = prony.prony_analyze(target, cfg)
+            fit = prony.prony_analyze(target, args.order)
         except prony.InsufficientExcitation:
             # a flat window, as a dead channel reporting zeros gives
             return "no-excitation", []
@@ -315,7 +315,7 @@ def cmd_analyze(args) -> int:
             print(f"  amplitude={m.amplitude:.3g} damping={m.damping:.3g} frequency={m.frequency:.3g} Hz")
         return "analyzed", artifacts
 
-    _run(args, "analyze", policy, {"prony_order": cfg.prony_order, "band_hz": list(cfg.emd_band_hz)}, analyse)
+    _run(args, "analyze", policy, {"prony_order": args.order, "band_hz": list(cfg.emd_band_hz)}, analyse)
     return EXIT_OK
 
 

@@ -304,23 +304,14 @@ def mode_matrix(params, count: int, dt: float) -> np.ndarray:
     return amplitude * np.exp(damping * t) * np.cos(TWO_PI * frequency * t + phase)
 
 
-def max_order(count: int) -> int:
-    """Highest model order `count` samples support (three samples per order)."""
-    return count // 3
-
-
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """The pipeline's settable tuning values. The fixed parts of the recipe
-    are constants beside the stage that uses them (prony, emd, detector).
-
-    prony_order None means automatic: min(max_order(count), 60), honoring the
-    rule that the sample count should be at least three times the order.
-    The generous ceiling matters in noise: surplus poles absorb the noise
-    that otherwise biases damping estimates of the real modes.
+    """The pipeline's settable tuning value: the analysis band in Hz, which
+    the EMD band-pass keeps and the spectral peak search reads. The fixed
+    parts of the recipe are constants beside the stage that uses them
+    (prony, emd, detector); the Prony model order is prony's own rule.
     """
 
-    prony_order: int | None = None
     emd_band_hz: tuple[float, float] = (0.1, 2.0)
     #: Fixed, not a field: an alarm mode decaying slower than this (1/s)
     #: still rates Warning.
@@ -331,10 +322,3 @@ class AnalysisConfig:
         if not (0 < lo < hi):
             raise ValueError(f"band must satisfy 0 < low < high, got {self.emd_band_hz}")
         object.__setattr__(self, "emd_band_hz", (float(lo), float(hi)))
-        if self.prony_order is not None and self.prony_order < 1:
-            raise ValueError("prony_order must be positive")
-
-    def resolve_order(self, count: int) -> int:
-        if self.prony_order is not None:
-            return self.prony_order
-        return max(1, min(max_order(count), 60))

@@ -131,24 +131,19 @@ def _severity(damping: float, classes: frozenset[ModeClass], cfg: AnalysisConfig
 _MIN_STABILITY_HALF = 12
 
 
-def _stable_modes(bp: SampleWindow, modes, cfg: AnalysisConfig):
+def _stable_modes(bp: SampleWindow, modes):
     """Modes whose frequency persists in independent fits of both window
     halves. A half fit that finds too little excitation or whose root
     solver diverges keeps the list unfiltered (degenerate windows are
-    already gated by fit quality).
-
-    Raises:
-        prony.OrderTooHigh: cfg.prony_order exceeds what a half window
-            supports; the automatic order never does.
-    """
+    already gated by fit quality)."""
     if not modes:
         return modes
     half = bp.count // 2
     if half < _MIN_STABILITY_HALF:
         return modes
     try:
-        first = prony.prony_analyze(bp.replace_samples(bp.samples[:half]), cfg)
-        second = prony.prony_analyze(bp.replace_samples(bp.samples[half:]), cfg)
+        first = prony.prony_analyze(bp.replace_samples(bp.samples[:half]))
+        second = prony.prony_analyze(bp.replace_samples(bp.samples[half:]))
     except (prony.InsufficientExcitation, prony.RootSolverDiverged):
         return modes
     # half windows cannot resolve finer than twice the full-window limit
@@ -163,15 +158,12 @@ def _stable_modes(bp: SampleWindow, modes, cfg: AnalysisConfig):
 
 
 def detect(w: SampleWindow, cfg: AnalysisConfig | None = None) -> DetectionReport:
-    """Run the full pipeline on one validated window.
+    """Run the full pipeline on one validated window. Prony fits the
+    window and its halves at the automatic order, which every window
+    supports; cfg sets only the analysis band.
 
     An empty band-pass result (nothing inside cfg.emd_band_hz) yields an
     empty report rather than an error.
-
-    Raises:
-        prony.OrderTooHigh: cfg.prony_order exceeds a third of the window's
-            samples, or of a half window's when the stability gate runs
-            (halves of at least 12 samples).
     """
     cfg = cfg or AnalysisConfig()
     validate_window(w)
@@ -184,7 +176,7 @@ def detect(w: SampleWindow, cfg: AnalysisConfig | None = None) -> DetectionRepor
         return empty
 
     try:
-        fit = prony.prony_analyze(bp, cfg)
+        fit = prony.prony_analyze(bp)
     except prony.InsufficientExcitation:
         return empty
 
@@ -196,7 +188,7 @@ def detect(w: SampleWindow, cfg: AnalysisConfig | None = None) -> DetectionRepor
     except EmptyBand:
         peaks = []
 
-    candidates = _stable_modes(bp, fit.modes, cfg)
+    candidates = _stable_modes(bp, fit.modes)
     if fit.fit_quality < MIN_FIT_QUALITY:
         candidates = ()
 

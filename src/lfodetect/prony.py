@@ -34,11 +34,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     TWO_PI,
-    AnalysisConfig,
     PronyFit,
     PronyMode,
     SampleWindow,
-    max_order,
     mode_matrix,
     validate_window,
     wrap_angle,
@@ -64,6 +62,11 @@ _RESIDUAL_FACTOR = 1e-8
 
 _SQRT2 = math.sqrt(2.0)
 
+#: Ceiling of the automatic model order. It is generous on purpose: in
+#: noise, surplus poles absorb the noise that otherwise biases the damping
+#: estimates of the real modes.
+MAX_AUTO_ORDER = 60
+
 
 class OrderTooHigh(ValueError):
     """Sample count is below three times the requested model order."""
@@ -77,8 +80,16 @@ class RootSolverDiverged(RuntimeError):
     """A computed root leaves a residual above tolerance."""
 
 
+def max_order(count: int) -> int:
+    """Highest model order `count` samples support (three samples per order)."""
+    return count // 3
+
+
 def check_order(count: int, order: int) -> None:
-    """Raise OrderTooHigh unless `count` samples support `order` (count >= 3 * order)."""
+    """Raise unless `count` samples support `order`: ValueError for an order
+    below 1, OrderTooHigh for one above max_order(count) (count < 3 * order)."""
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
     if order > max_order(count):
         raise OrderTooHigh(f"{count} samples cannot support order {order} (need >= {3 * order})")
 
@@ -88,12 +99,11 @@ def fit_lpm(w: SampleWindow, order: int) -> np.ndarray:
     y[m] = a_1*y[m-1] + ... + a_N*y[m-N] over m = N..count-1.
 
     Raises:
+        ValueError: order < 1.
         OrderTooHigh: count < 3 * order.
         InsufficientExcitation: design matrix has rank zero.
     """
     validate_window(w)
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
     y = w.samples
     count = y.size
     check_order(count, order)
@@ -224,18 +234,24 @@ def solve_amplitudes(w: SampleWindow, roots) -> list[tuple[float, float]]:
     ]
 
 
-def prony_analyze(w: SampleWindow, cfg: AnalysisConfig | None = None) -> PronyFit:
-    """Full decomposition of a (typically band-passed) window.
+def prony_analyze(w: SampleWindow, order: int | None = None) -> PronyFit:
+    """Full decomposition of a (typically band-passed) window at model
+    `order`; None, the default, means the automatic order
+    min(max_order(count), MAX_AUTO_ORDER).
 
     Chains fit_lpm -> characteristic_roots -> roots_to_modes ->
     solve_amplitudes, discards damping artifacts and modes below
     MIN_MODE_AMPLITUDE_FRACTION of the strongest, sorts by energy share,
     and grades the result by reconstruction error.
+
+    Raises:
+        ValueError: order < 1.
+        OrderTooHigh: order above max_order(count).
     """
-    cfg = cfg or AnalysisConfig()
     validate_window(w)
     y = w.samples
-    order = cfg.resolve_order(y.size)
+    if order is None:
+        order = min(max_order(y.size), MAX_AUTO_ORDER)
     coeffs = fit_lpm(w, order)
     all_roots = characteristic_roots(coeffs)
 

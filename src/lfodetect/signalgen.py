@@ -65,8 +65,11 @@ class SynthSpec:
             raise InvalidSpec(f"dt must be positive and finite, got {self.dt}")
         if self.noise_snr_db is not None and self.noise_sigma is not None:
             raise InvalidSpec("give either noise_snr_db or noise_sigma, not both")
-        if self.noise_sigma is not None and self.noise_sigma < 0:
+        # NaN fails every comparison, so it would silently mean no noise
+        if self.noise_sigma is not None and not self.noise_sigma >= 0:
             raise InvalidSpec(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if self.noise_snr_db is not None and math.isnan(self.noise_snr_db):
+            raise InvalidSpec("noise_snr_db must be a number, got nan")
         # numpy's default_rng takes no negative seed
         if self.rng_seed < 0:
             raise InvalidSpec(f"rng_seed must be >= 0, got {self.rng_seed}")

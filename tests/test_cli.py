@@ -78,6 +78,12 @@ class TestSynth:
         assert err.startswith("error: noise_snr_db needs a nonzero tone sum") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_infinite_snr_is_noiseless(self, tmp_path):
+        clean, inf = tmp_path / "clean.csv", tmp_path / "inf.csv"
+        assert run("synth", "--tone", "0.1,0.52", "-o", clean) == 0
+        assert run("synth", "--tone", "0.1,0.52", "--snr-db", "inf", "-o", inf) == 0
+        assert inf.read_bytes() == clean.read_bytes()
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--dt", "0"), ("--dt", "nan"), ("--dt", "-0.04"), ("--seconds", "nan"), ("--seconds", "inf"),
@@ -455,21 +461,14 @@ class TestAnalyzeEmdFlag:
 
 
 class TestHalfWindowOrder:
-    """Library `detect` refits each window half; a fixed order a half window
-    cannot support (626-sample windows: halves of 313, at most order 104)
-    raises rather than silently skipping the stability gate. The `detect`
-    command always runs at the automatic order, which a half window
-    supports."""
+    """`detect`, the command and the library call alike, fits each window and
+    its halves at the automatic order, which a half window supports; only
+    `analyze` takes an order, bounded by the full window (626 samples: at
+    most order 208)."""
 
-    def test_detect_rejects_order_above_half_window_limit(self, growing_archive):
-        (window,) = lf.make_windows(lf.read_archive(growing_archive))
-        with pytest.raises(lf.OrderTooHigh, match=r"^313 samples cannot support order 105 "):
-            lf.detect(window, AnalysisConfig(prony_order=105))
-
-    def test_limit_order_still_detects(self, growing_archive):
-        (window,) = lf.make_windows(lf.read_archive(growing_archive))
-        alarms = lf.detect(window, AnalysisConfig(prony_order=104)).alarms
-        assert any(a.severity is lf.Severity.Critical for a in alarms)
+    def test_library_detect_takes_no_order(self):
+        with pytest.raises(TypeError):
+            AnalysisConfig(prony_order=8)
 
     def test_analyze_keeps_full_window_limit(self, growing_archive, tmp_path):
         assert run("analyze", growing_archive, "--out-dir", tmp_path / "o", "--order", "105") == 0
@@ -551,6 +550,8 @@ class TestBadConfig:
             # a window of 626 samples supports orders up to 208
             ("analyze", ["--order", "300"], "626 samples cannot support order 300 (need >= 900)"),
             ("analyze", ["--emd", "--order", "209"], "626 samples cannot support order 209 (need >= 627)"),
+            ("analyze", ["--order", "0"], "invalid setting: order must be >= 1, got 0"),
+            ("analyze", ["--order", "-3"], "invalid setting: order must be >= 1, got -3"),
             ("detect", ["--band", "0.1,20"], "band upper edge 20.0 Hz exceeds Nyquist 12.5 Hz"),
             ("detect", ["--band", "0.1,inf"], "band upper edge inf Hz exceeds Nyquist 12.5 Hz"),
             ("detect", ["--window-seconds", "0.1", "--stride-seconds", "0.1"],
@@ -563,6 +564,7 @@ class TestBadConfig:
         ids=["inverted-band", "spectrum-inverted-band", "spectrum-zero-width-band", "stride-over-window",
              "expected-dt-nan", "expected-dt-inf", "window-seconds-inf", "spectrum-stride-seconds-nan",
              "analyze-order-above-window-limit", "emd-order-above-window-limit",
+             "analyze-order-zero", "analyze-order-negative",
              "band-above-nyquist", "band-to-infinity",
              "window-of-three-samples", "spectrum-window-of-three-samples",
              "analyze-band-without-emd", "analyze-emd-band-above-nyquist"],
@@ -599,10 +601,15 @@ class TestExitCodeContract:
              "synthesised sample 355 is not finite"),
             (["synth", "--tone", "1e308,0.5", "--snr-db", "40", "--seconds", "25.04", "-o", "{tmp}/loud.csv"],
              "synthesised sample 0 is not finite"),
+            # NaN fails `sigma > 0`, so it would mean no noise
+            (["synth", "--noise-sigma", "nan", "--seconds", "1", "-o", "{tmp}/s.csv"],
+             "noise_sigma must be >= 0, got nan"),
+            (["synth", "--tone", "0.1,0.52", "--snr-db", "nan", "-o", "{tmp}/s.csv"],
+             "noise_snr_db must be a number, got nan"),
         ],
         ids=["analyze-out-dir-is-file", "detect-out-dir-is-file",
              "spectrum-out-dir-is-file", "out-dir-under-file", "synth-output-under-file", "synth-negative-seed",
-             "synth-tone-overflows", "synth-noise-overflows"],
+             "synth-tone-overflows", "synth-noise-overflows", "synth-nan-noise-sigma", "synth-nan-snr-db"],
     )
     def test_input_error_exits_2_with_one_line(self, tmp_path, capsys, argv, message):
         archive = tmp_path / "a.csv"

@@ -143,10 +143,7 @@ class TestAnalysisConfig:
         assert detector.FFT_PEAK_MIN_FRACTION == 0.1
 
     def test_settable_fields(self):
-        assert [f.name for f in dataclasses.fields(AnalysisConfig)] == [
-            "prony_order",
-            "emd_band_hz",
-        ]
+        assert [f.name for f in dataclasses.fields(AnalysisConfig)] == ["emd_band_hz"]
         # a fixed gate, read from the class but not settable
         assert AnalysisConfig().slow_decay_threshold == 0.05
         with pytest.raises(TypeError):
@@ -162,13 +159,6 @@ class TestAnalysisConfig:
             AnalysisConfig(emd_band_hz=(2.0, 0.1))
         with pytest.raises(ValueError):
             AnalysisConfig(emd_band_hz=(0.0, 2.0))
-
-    def test_order_resolution_honors_three_to_one_rule(self):
-        cfg = AnalysisConfig()
-        assert cfg.resolve_order(625) == 60
-        assert cfg.resolve_order(90) == 30
-        assert cfg.resolve_order(12) == 4
-        assert AnalysisConfig(prony_order=8).resolve_order(625) == 8
 
     def test_match_tolerance_auto(self, monkeypatch):
         # the detector matches within the window's Rayleigh limit, never

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import lfodetect.prony as prony_mod
 from lfodetect import detector
 from lfodetect import (
-    AnalysisConfig,
     Channel,
     InsufficientExcitation,
     OrderTooHigh,
@@ -122,6 +121,23 @@ class TestFitLpm:
     def test_order_too_high(self, make_window):
         with pytest.raises(OrderTooHigh):
             fit_lpm(make_window(np.ones(10)), 4)
+
+
+class TestModelOrder:
+    """prony owns the model-order rule: at least three samples per order,
+    and an automatic order of min(count // 3, 60)."""
+
+    def test_order_resolution_honors_three_to_one_rule(self, make_window):
+        rng = np.random.default_rng(0)
+        for count, auto in ((625, 60), (90, 30), (12, 4)):
+            assert prony_mod.max_order(count) == count // 3
+            assert prony_analyze(make_window(rng.standard_normal(count))).order == auto
+        assert prony_analyze(make_window(rng.standard_normal(625)), 8).order == 8
+
+    @pytest.mark.parametrize("order", [0, -3])
+    def test_order_below_one_refused(self, make_window, order):
+        with pytest.raises(ValueError, match=rf"^order must be >= 1, got {order}$"):
+            prony_analyze(make_window(np.cos(0.3 * np.arange(625))), order)
 
 
 class TestFitLpmReference:
@@ -298,7 +314,7 @@ class TestPronyAnalyze:
     def test_two_mode_exact_order(self):
         tones = (ToneSpec(1.0, 0.6, phase=0.4, damping=-0.1), ToneSpec(0.5, 1.7, phase=-2.0, damping=0.02))
         w = generate(SynthSpec(tones=tones, dt=0.04, count=400))
-        fit = prony_analyze(w, AnalysisConfig(prony_order=4))
+        fit = prony_analyze(w, 4)
         assert len(fit.modes) == 2
         assert fit.fit_quality >= 0.999999
         by_freq = sorted(fit.modes, key=lambda m: m.frequency)
@@ -413,8 +429,7 @@ class TestPronyAnalyze:
         tones = (ToneSpec(1.0, 0.6, phase=0.4, damping=-0.1), ToneSpec(0.5, 1.7, phase=-2.0, damping=0.02))
         w = generate(SynthSpec(tones=tones, dt=0.04, count=400))
         shifted = w.replace_samples(np.asarray(w.samples)[shift:])
-        cfg = AnalysisConfig(prony_order=4)
-        fit, fit_shifted = prony_analyze(w, cfg), prony_analyze(shifted, cfg)
+        fit, fit_shifted = prony_analyze(w, 4), prony_analyze(shifted, 4)
         assert len(fit.modes) == len(fit_shifted.modes) == 2
         tau = shift * w.dt
         for m in fit.modes:
@@ -428,7 +443,7 @@ class TestPronyAnalyze:
     def test_fit_quality_clamped(self, make_window):
         rng = np.random.default_rng(0)
         w = make_window(rng.standard_normal(60))
-        fit = prony_analyze(w, AnalysisConfig(prony_order=2))
+        fit = prony_analyze(w, 2)
         assert 0.0 <= fit.fit_quality <= 1.0
 
 
@@ -442,7 +457,7 @@ class TestReconstruct:
     def test_exact_order_round_trip(self):
         tones = (ToneSpec(1.0, 0.8, phase=1.0, damping=-0.2),)
         w = generate(SynthSpec(tones=tones, dt=0.04, count=300))
-        fit = prony_analyze(w, AnalysisConfig(prony_order=2))
+        fit = prony_analyze(w, 2)
         recon = _mode_sum(fit, w.count, w.dt)
         rel = np.linalg.norm(recon - np.asarray(w.samples)) / np.linalg.norm(w.samples)
         assert rel <= 1e-8
@@ -477,7 +492,7 @@ class TestRoundTripProperty:
             for f in freqs
         )
         w = generate(SynthSpec(tones=tones, dt=0.04, count=420))
-        fit = prony_analyze(w, AnalysisConfig(prony_order=2 * k))
+        fit = prony_analyze(w, 2 * k)
         assert len(fit.modes) == k
         for tone in tones:
             mode = min(fit.modes, key=lambda m: abs(m.frequency - tone.frequency))
@@ -516,7 +531,7 @@ class TestDiagnostics:
         w = generate(SynthSpec(tones=(tone,), dt=0.04, count=200))
         monkeypatch.setattr(prony_mod, "fit_lpm", lambda w, order: np.append(fit_lpm(w, order - 1), 0.0))
         with caplog.at_level(logging.WARNING, logger="lfodetect.prony"):
-            fit = prony_analyze(w, AnalysisConfig(prony_order=3))
+            fit = prony_analyze(w, 3)
         assert any("zero" in rec.message.lower() for rec in caplog.records)
         assert np.count_nonzero(fit.roots == 0) == 1
         (mode,) = fit.modes

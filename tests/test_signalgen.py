@@ -161,6 +161,16 @@ class TestInvalidSpecs:
         with pytest.raises(InvalidSpec):
             generate(SynthSpec(tones=(), dt=0.04, count=100, noise_snr_db=30))
 
+    @pytest.mark.parametrize(
+        "noise, message",
+        [({"noise_sigma": math.nan}, r"^noise_sigma must be >= 0, got nan$"),
+         ({"noise_snr_db": math.nan}, r"^noise_snr_db must be a number, got nan$")],
+        ids=["nan-sigma", "nan-snr"],
+    )
+    def test_nan_noise_refused(self, noise, message):
+        with pytest.raises(InvalidSpec, match=message):
+            SynthSpec(tones=(ToneSpec(1.0, 1.0),), dt=0.04, count=100, **noise)
+
     def test_snr_and_sigma_conflict(self):
         with pytest.raises(InvalidSpec):
             SynthSpec(tones=(ToneSpec(1.0, 1.0),), dt=0.04, count=100, noise_snr_db=30, noise_sigma=1.0)
