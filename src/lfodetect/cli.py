@@ -168,8 +168,19 @@ def _resolve_settings(args, resolve):
         raise InvalidSetting(f"invalid setting: {exc}") from exc
 
 
+#: What artifact file names percent-encode in a station id, as the
+#: uppercase hex of its UTF-8 bytes: the escape character itself, both
+#: path separators and the control characters. Other ids stay as they are.
+_STATION_ESCAPES = {
+    c: "".join(f"%{b:02X}" for b in chr(c).encode())
+    for c in (*range(0x20), *range(0x7F, 0xA0), ord("%"), ord("/"), ord("\\"))
+}
+
+
 def _window_prefix(w) -> str:
-    return f"{w.station_id}_{w.channel.value}_{w.t0_ms}"
+    """The window's artifact name stem. A station id never steers the
+    file out of --out-dir, and distinct ids give distinct names."""
+    return f"{w.station_id.translate(_STATION_ESCAPES)}_{w.channel.value}_{w.t0_ms}"
 
 
 def _manifest(command: str, policy, config: dict, archive: Path, entries, diagnostics, report, extra) -> dict:

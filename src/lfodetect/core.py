@@ -218,29 +218,20 @@ class PronyMode:
 
 @dataclass(frozen=True, eq=False)
 class PronyFit:
-    """Full result of a damped-sinusoid decomposition.
+    """Result of a damped-sinusoid decomposition.
 
     Attributes:
         order: order of the linear prediction model.
-        lpm_coefficients: the prediction coefficients a_1..a_N.
-        roots: all characteristic roots (conjugate-closed for real input).
         modes: surviving modes after artifact and amplitude pruning,
             sorted by energy_fraction descending.
         fit_quality: 1 - relative rms reconstruction error, clamped to [0, 1].
     """
 
     order: int
-    lpm_coefficients: np.ndarray
-    roots: np.ndarray
     modes: tuple[PronyMode, ...]
     fit_quality: float
 
     def __post_init__(self):
-        coeffs = _readonly(self.lpm_coefficients)
-        if coeffs.shape[0] != self.order:
-            raise ValueError("lpm_coefficients length must equal order")
-        object.__setattr__(self, "lpm_coefficients", coeffs)
-        object.__setattr__(self, "roots", _readonly(self.roots, complex))
         object.__setattr__(self, "modes", tuple(self.modes))
 
 

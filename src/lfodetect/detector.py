@@ -5,17 +5,15 @@ spectral peak picking on the same filtered signal, then frequency matching
 across the two methods. Only modes confirmed by both routes raise alarms,
 which keeps single-method artifacts away from the operator.
 
-Three more gates suppress alarms on noise and on band-pass leakage. They
-and the match tolerance are fixed parts of the method, so their thresholds
-are the module constants below, not AnalysisConfig fields:
+Two more gates suppress alarms on noise. They and the match tolerance
+are fixed parts of the method, so their thresholds are the module
+constants below, not AnalysisConfig fields:
   * the whole fit must reconstruct the filtered window reasonably
     (fit_quality >= MIN_FIT_QUALITY);
   * a candidate mode must persist in independent fits of the two window
-    halves (noise modes wander between halves, real modes do not);
-  * only the MAX_FFT_PEAKS strongest spectral peaks count, and peaks below
-    FFT_PEAK_MIN_FRACTION of the band maximum are ignored (band-pass
-    sifting leaks percent-level slow artifacts that both methods would
-    otherwise agree on).
+    halves (noise modes wander between halves, real modes do not).
+Which spectral peaks take part is the peak picker's own rule
+(spectrum.MAX_PEAKS and spectrum.PEAK_MIN_FRACTION).
 """
 
 from __future__ import annotations
@@ -46,12 +44,6 @@ _ESCALATION_CLASSES = frozenset({ModeClass.InterArea, ModeClass.Local})
 #: Fits reconstructing the band-passed window worse than this raise no alarm.
 MIN_FIT_QUALITY = 0.5
 
-#: At most this many spectral peaks, strongest first, go to matching.
-MAX_FFT_PEAKS = 10
-
-#: Spectral peaks below this fraction of the band maximum are ignored.
-FFT_PEAK_MIN_FRACTION = 0.1
-
 #: A mode and a peak match within the window's Rayleigh limit, 1/duration,
 #: but never within less than this (Hz).
 MATCH_TOLERANCE_FLOOR_HZ = 0.05
@@ -59,8 +51,8 @@ MATCH_TOLERANCE_FLOOR_HZ = 0.05
 
 @dataclass(frozen=True, eq=False)
 class DetectionReport:
-    """Everything one window produced: the raw fits, the alarms, and the
-    mode/peak leftovers that found no partner in the other method."""
+    """Everything one window produced: the full-window Prony fit, the
+    spectral peaks that took part in matching, and the alarms."""
 
     station_id: str
     channel: Channel
@@ -69,8 +61,6 @@ class DetectionReport:
     prony_fit: PronyFit | None = None
     fft_peaks: tuple[SpectrumPeak, ...] = ()
     alarms: tuple[AlarmEvent, ...] = ()
-    unmatched_prony: tuple[PronyMode, ...] = ()
-    unmatched_fft: tuple[SpectrumPeak, ...] = ()
 
 
 def classify(frequency_hz: float) -> frozenset[ModeClass]:
@@ -182,9 +172,7 @@ def detect(w: SampleWindow, cfg: AnalysisConfig | None = None) -> DetectionRepor
 
     spec = spectrum.dft(bp, spectrum.WindowFunction.Hann)
     try:
-        peaks = spectrum.find_peaks(
-            spec, cfg.emd_band_hz, MAX_FFT_PEAKS, FFT_PEAK_MIN_FRACTION
-        )
+        peaks = spectrum.find_peaks(spec, cfg.emd_band_hz)
     except EmptyBand:
         peaks = []
 
@@ -215,13 +203,4 @@ def detect(w: SampleWindow, cfg: AnalysisConfig | None = None) -> DetectionRepor
             )
         )
 
-    matched_modes = {id(m) for m, _ in pairs}
-    matched_peaks = {id(p) for _, p in pairs}
-    return replace(
-        empty,
-        prony_fit=fit,
-        fft_peaks=tuple(peaks),
-        alarms=tuple(alarms),
-        unmatched_prony=tuple(m for m in fit.modes if id(m) not in matched_modes),
-        unmatched_fft=tuple(p for p in peaks if id(p) not in matched_peaks),
-    )
+    return replace(empty, prony_fit=fit, fft_peaks=tuple(peaks), alarms=tuple(alarms))

@@ -252,8 +252,7 @@ def prony_analyze(w: SampleWindow, order: int | None = None) -> PronyFit:
     y = w.samples
     if order is None:
         order = min(max_order(y.size), MAX_AUTO_ORDER)
-    coeffs = fit_lpm(w, order)
-    all_roots = characteristic_roots(coeffs)
+    all_roots = characteristic_roots(fit_lpm(w, order))
 
     # Both roots of a pair share |z|, so filtering on it keeps the list
     # conjugate-closed. Zero roots get sigma = -inf and fall out here too.
@@ -295,10 +294,4 @@ def prony_analyze(w: SampleWindow, order: int | None = None) -> PronyFit:
     residual = float(np.linalg.norm(y - signals.sum(axis=1)))
     quality = 1.0 - residual / norm_y if norm_y > 0 else 0.0
 
-    return PronyFit(
-        order=order,
-        lpm_coefficients=coeffs,
-        roots=all_roots,
-        modes=tuple(modes),
-        fit_quality=min(1.0, max(0.0, quality)),
-    )
+    return PronyFit(order=order, modes=tuple(modes), fit_quality=min(1.0, max(0.0, quality)))

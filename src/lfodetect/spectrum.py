@@ -1,5 +1,8 @@
 """Discrete Fourier analysis of sample windows and dominant-peak extraction.
 
+Peak picking applies two fixed rules, the module constants MAX_PEAKS and
+PEAK_MIN_FRACTION.
+
 Bins follow the 1/M normalization, so a pure in-bin tone of amplitude A
 shows |Y(k)| = A/2 at its bin. Any window length is supported; the values,
 not the transform algorithm, are the contract.
@@ -106,17 +109,21 @@ def check_band_below_nyquist(band_hz: tuple[float, float], nyquist_hz: float) ->
         raise ValueError(f"band upper edge {hi} Hz exceeds Nyquist {nyquist_hz} Hz")
 
 
-def find_peaks(
-    s: Spectrum,
-    band_hz: tuple[float, float],
-    max_peaks: int = 10,
-    min_magnitude_fraction: float = 0.0,
-) -> list[SpectrumPeak]:
+#: At most this many peaks, strongest first, leave find_peaks.
+MAX_PEAKS = 10
+
+#: Peaks below this fraction of the band maximum are ignored: band-pass
+#: sifting leaks percent-level slow artifacts that Prony would otherwise
+#: confirm.
+PEAK_MIN_FRACTION = 0.1
+
+
+def find_peaks(s: Spectrum, band_hz: tuple[float, float]) -> list[SpectrumPeak]:
     """Local magnitude maxima over the one-sided bins inside band_hz,
     refined by parabolic interpolation and sorted by magnitude descending.
 
-    Peaks below min_magnitude_fraction of the band maximum are discarded;
-    at most max_peaks survive.
+    Peaks below PEAK_MIN_FRACTION of the band maximum are discarded; at
+    most MAX_PEAKS survive.
 
     Raises:
         ValueError: band outside [0, Nyquist] or ill-ordered.
@@ -126,8 +133,6 @@ def find_peaks(
     if not (0.0 <= lo <= hi):
         raise ValueError(f"band must satisfy 0 <= low <= high, got {band_hz}")
     check_band_below_nyquist(band_hz, s.nyquist_hz)
-    if max_peaks < 1:
-        raise ValueError("max_peaks must be positive")
 
     half = s.count // 2
     k_lo = max(0, int(math.ceil(lo / s.df - 1e-9)))
@@ -136,9 +141,7 @@ def find_peaks(
         raise EmptyBand(f"band [{lo}, {hi}] Hz holds no spectral bins (df = {s.df} Hz)")
 
     mags = s.magnitudes
-    band_max = float(np.max(mags[k_lo : k_hi + 1]))
-    # numerical dust never counts as a peak, whatever the caller's fraction
-    threshold = max(min_magnitude_fraction, 1e-12) * band_max
+    threshold = PEAK_MIN_FRACTION * float(np.max(mags[k_lo : k_hi + 1]))
     peaks: list[SpectrumPeak] = []
     for k in range(max(1, k_lo), min(k_hi, s.count - 2) + 1):
         if not (mags[k] > mags[k - 1] and mags[k] >= mags[k + 1]):
@@ -151,4 +154,4 @@ def find_peaks(
     if not peaks:
         raise EmptyBand(f"no peak above threshold in [{lo}, {hi}] Hz")
     peaks.sort(key=lambda p: (-p.magnitude, p.frequency))
-    return peaks[:max_peaks]
+    return peaks[:MAX_PEAKS]

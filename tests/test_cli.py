@@ -365,6 +365,38 @@ class TestCsvBytes:
         assert csv.read_text() == _reference_csv("frequency_hz,magnitude,phase_rad", rows)
 
 
+class TestArtifactNames:
+    @pytest.mark.parametrize("station, stem", [("../escaped", "..%2Fescaped"), ("sub/dir", "sub%2Fdir")])
+    @pytest.mark.parametrize("command, flags, suffixes", [
+        ("spectrum", [], ["_spectrum.csv"]),
+        ("analyze", ["--dump-imfs"], ["_modes.csv", "_imfs.csv"]),
+    ], ids=["spectrum", "analyze"])
+    def test_station_id_stays_inside_out_dir(self, growing_archive, tmp_path, station, stem, command, flags, suffixes):
+        archive = tmp_path / "station.csv"
+        archive.write_text(growing_archive.read_text().replace(",synthetic,", f",{station},"))
+        out = tmp_path / "work" / "out"
+        assert run(command, archive, "--out-dir", out, *flags) == 0
+        assert [p.name for p in (tmp_path / "work").iterdir()] == ["out"]
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        names = [f"{stem}_Frequency_Hz_0{suffix}" for suffix in suffixes]
+        assert manifest["artifacts"] == sorted(names)
+        assert {p.name for p in out.iterdir()} == {"run_manifest.json", *names}
+        # the manifest keeps the station id as the archive gave it
+        assert [w["station_id"] for w in manifest["windows"]] == [station]
+
+    @pytest.mark.parametrize("station, stem", [
+        ("ST01", "ST01"),
+        ("a b.c-é", "a b.c-é"),
+        ("a%2Fb", "a%252Fb"),
+        ("a\\b", "a%5Cb"),
+        ("a\tb\x7f", "a%09b%7F"),
+        ("a\x85b", "a%C2%85b"),
+    ])
+    def test_station_id_encoding(self, station, stem):
+        w = SampleWindow(station, Channel.Frequency_Hz, 5, 0.04, np.zeros(4))
+        assert cli._window_prefix(w) == f"{stem}_Frequency_Hz_5"
+
+
 class TestMultiWindowAndJobs:
     @pytest.fixture
     def long_archive(self, tmp_path):

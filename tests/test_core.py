@@ -129,7 +129,7 @@ class TestModeBands:
 
 class TestAnalysisConfig:
     def test_defaults(self):
-        from lfodetect import detector, emd, prony
+        from lfodetect import detector, emd, prony, spectrum
 
         cfg = AnalysisConfig()
         assert cfg.emd_band_hz == (0.1, 2.0)
@@ -139,8 +139,11 @@ class TestAnalysisConfig:
         assert emd.MAX_SIFT_ITERATIONS == 50
         assert emd.SIFT_SD_THRESHOLD == 0.2
         assert detector.MIN_FIT_QUALITY == 0.5
-        assert detector.MAX_FFT_PEAKS == 10
-        assert detector.FFT_PEAK_MIN_FRACTION == 0.1
+        assert spectrum.MAX_PEAKS == 10
+        assert spectrum.PEAK_MIN_FRACTION == 0.1
+        # the peak limits belong to the peak picker alone
+        assert not hasattr(detector, "MAX_FFT_PEAKS")
+        assert not hasattr(detector, "FFT_PEAK_MIN_FRACTION")
 
     def test_settable_fields(self):
         assert [f.name for f in dataclasses.fields(AnalysisConfig)] == ["emd_band_hz"]

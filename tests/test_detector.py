@@ -193,13 +193,16 @@ class TestDetect:
             )
         )
         report = detect(w)
+        assert report.alarms
         assert len(report.alarms) <= min(len(report.prony_fit.modes), len(report.fft_peaks))
-        matched_freqs = {a.prony_mode.frequency for a in report.alarms}
-        for mode in report.unmatched_prony:
-            assert mode.frequency not in matched_freqs
-        matched_peaks = {a.fft_peak.frequency for a in report.alarms}
-        for peak in report.unmatched_fft:
-            assert peak.frequency not in matched_peaks
+        # every alarm pairs a mode of the fit with a peak of the report,
+        # and no mode or peak serves two alarms
+        modes = [a.prony_mode for a in report.alarms]
+        peaks = [a.fft_peak for a in report.alarms]
+        assert all(any(m is x for x in report.prony_fit.modes) for m in modes)
+        assert all(any(p is x for x in report.fft_peaks) for p in peaks)
+        assert len({id(m) for m in modes}) == len(modes)
+        assert len({id(p) for p in peaks}) == len(peaks)
 
 
 def make_noise_window(rng):
@@ -260,7 +263,7 @@ def test_match_in_classification_gap_raises_no_alarm(frequency, classes):
     """A mode and a peak that agree inside a classification gap, (8, 10]
     Hz, pair up but raise no alarm; the same growing tone in the Control
     band does."""
-    from lfodetect import CONTROL_HUNT_BAND
+    from lfodetect import CONTROL_HUNT_BAND, detector
 
     w = generate(SynthSpec(tones=(ToneSpec(0.1, frequency, damping=0.05),), dt=0.04, count=626,
                            noise_snr_db=40, rng_seed=1))
@@ -268,7 +271,8 @@ def test_match_in_classification_gap_raises_no_alarm(frequency, classes):
     (mode,) = report.prony_fit.modes
     (peak,) = report.fft_peaks
     assert abs(mode.frequency - frequency) < 0.01 and abs(peak.frequency - frequency) < 0.01
-    # matched: neither is left over
-    assert report.unmatched_prony == () and report.unmatched_fft == ()
+    # the two agree within the window's match tolerance
+    tol = max(1.0 / report.duration_s, detector.MATCH_TOLERANCE_FLOOR_HZ)
+    assert detector.match_modes(report.prony_fit.modes, report.fft_peaks, tol) == [(mode, peak)]
     assert classify(0.5 * (mode.frequency + peak.frequency)) == frozenset(classes)
     assert [a.classes for a in report.alarms] == ([classes] if classes else [])

@@ -116,11 +116,30 @@ class TestFindPeaks:
     def test_threshold_and_ordering(self, make_window):
         t = np.arange(625) * 0.04
         w = make_window(np.sin(2 * np.pi * 0.52 * t) + 0.5 * np.sin(2 * np.pi * 1.2 * t))
-        peaks = find_peaks(dft(w), (0.1, 2.0), max_peaks=5, min_magnitude_fraction=0.1)
+        peaks = find_peaks(dft(w), (0.1, 2.0))
         assert [round(p.frequency, 2) for p in peaks[:2]] == [0.52, 1.2]
         assert peaks[0].magnitude >= peaks[1].magnitude
-        only_one = find_peaks(dft(w), (0.1, 2.0), max_peaks=1)
-        assert len(only_one) == 1
+
+    @pytest.mark.parametrize("fraction, kept", [(0.05, False), (0.2, True)])
+    def test_peak_below_min_fraction_ignored(self, make_window, fraction, kept):
+        # in-bin tones (bins 13 and 30) leave no sidelobes to count as peaks
+        t = np.arange(625) * 0.04
+        w = make_window(np.cos(2 * np.pi * 0.52 * t) + fraction * np.cos(2 * np.pi * 1.2 * t))
+        peaks = find_peaks(dft(w), (0.1, 2.0))
+        expected = [0.52, 1.2] if kept else [0.52]
+        assert [p.frequency for p in peaks] == pytest.approx(expected, abs=1e-9)
+
+    def test_at_most_max_peaks_strongest_first(self, make_window):
+        # twelve in-bin tones, bins 5, 8, ..., 38, weakest at 45% of the
+        # strongest: only the limit on the count removes any
+        t = np.arange(625) * 0.04
+        bins = range(5, 39, 3)
+        amplitudes = [0.45 + 0.05 * i for i in range(12)]
+        w = make_window(sum(a * np.cos(2 * np.pi * k * 0.04 * t) for a, k in zip(amplitudes, bins)))
+        peaks = find_peaks(dft(w), (0.1, 2.0))
+        strongest = sorted(zip(amplitudes, bins), reverse=True)[:10]
+        assert [p.frequency for p in peaks] == pytest.approx([k * 0.04 for _, k in strongest], abs=1e-9)
+        assert [p.magnitude for p in peaks] == pytest.approx([a / 2 for a, _ in strongest], abs=1e-9)
 
     def test_phase_from_bin(self, make_window):
         t = np.arange(625) * 0.04
