@@ -15,15 +15,12 @@ from .core import (
     Channel,
     EmptyBand,
     ModeClass,
-    NonFiniteSample,
-    NonPositiveDt,
     PronyFit,
     PronyMode,
     SampleWindow,
     Severity,
     SpectrumPeak,
     ValidationError,
-    WindowTooShort,
     validate_window,
     wrap_angle,
 )
@@ -32,7 +29,6 @@ from .emd import Imf, ImfSet, bandpass, decompose
 from .ingest import (
     ArchiveRecord,
     DtMismatch,
-    FileUnreadable,
     ParseReport,
     SchemaMismatch,
     WindowingPolicy,
@@ -64,14 +60,11 @@ __all__ = [
     "DetectionReport",
     "DtMismatch",
     "EmptyBand",
-    "FileUnreadable",
     "Imf",
     "ImfSet",
     "InsufficientExcitation",
     "InvalidSpec",
     "ModeClass",
-    "NonFiniteSample",
-    "NonPositiveDt",
     "OrderTooHigh",
     "ParseReport",
     "PronyFit",
@@ -86,7 +79,6 @@ __all__ = [
     "ToneSpec",
     "ValidationError",
     "WindowFunction",
-    "WindowTooShort",
     "WindowingPolicy",
     "bandpass",
     "characteristic_roots",

@@ -63,24 +63,6 @@ class ValidationError(ValueError):
     """A sample window violates one of its structural invariants."""
 
 
-class NonFiniteSample(ValidationError):
-    def __init__(self, index: int):
-        super().__init__(f"sample {index} is not finite")
-        self.index = index
-
-
-class WindowTooShort(ValidationError):
-    def __init__(self, count: int):
-        super().__init__(f"window has {count} samples, need at least {MIN_WINDOW_SAMPLES}")
-        self.count = count
-
-
-class NonPositiveDt(ValidationError):
-    def __init__(self, dt: float):
-        super().__init__(f"sample interval must be a positive finite number, got {dt}")
-        self.dt = dt
-
-
 class EmptyBand(Exception):
     """No component falls inside the requested frequency band."""
 
@@ -173,17 +155,17 @@ def validate_window(w: SampleWindow) -> SampleWindow:
     """Check all SampleWindow invariants; return the window unchanged.
 
     Raises:
-        NonPositiveDt: dt is not a positive finite number.
-        WindowTooShort: fewer than MIN_WINDOW_SAMPLES samples.
-        NonFiniteSample: first offending sample index attached.
+        ValidationError: dt is not a positive finite number, the window
+            holds fewer than MIN_WINDOW_SAMPLES samples, or a sample is not
+            finite (the message names the first such index).
     """
     if not (w.dt > 0 and math.isfinite(w.dt)):
-        raise NonPositiveDt(w.dt)
+        raise ValidationError(f"sample interval must be a positive finite number, got {w.dt}")
     if w.count < MIN_WINDOW_SAMPLES:
-        raise WindowTooShort(w.count)
+        raise ValidationError(f"window has {w.count} samples, need at least {MIN_WINDOW_SAMPLES}")
     finite = np.isfinite(w.samples)
     if not finite.all():
-        raise NonFiniteSample(int(np.flatnonzero(~finite)[0]))
+        raise ValidationError(f"sample {int(np.flatnonzero(~finite)[0])} is not finite")
     return w
 
 

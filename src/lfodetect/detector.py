@@ -19,13 +19,12 @@ Which spectral peaks take part is the peak picker's own rule
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import emd, prony, spectrum
 from .core import (
     AlarmEvent,
     AnalysisConfig,
-    Channel,
     EmptyBand,
     MODE_BANDS,
     ModeClass,
@@ -54,10 +53,6 @@ class DetectionReport:
     """Everything one window produced: the full-window Prony fit, the
     spectral peaks that took part in matching, and the alarms."""
 
-    station_id: str
-    channel: Channel
-    t0_ms: int
-    duration_s: float
     prony_fit: PronyFit | None = None
     fft_peaks: tuple[SpectrumPeak, ...] = ()
     alarms: tuple[AlarmEvent, ...] = ()
@@ -157,18 +152,17 @@ def detect(w: SampleWindow, cfg: AnalysisConfig | None = None) -> DetectionRepor
     """
     cfg = cfg or AnalysisConfig()
     validate_window(w)
-    empty = DetectionReport(w.station_id, w.channel, w.t0_ms, w.duration)
 
     try:
         bp = emd.bandpass(w, cfg)
     except EmptyBand:
         logger.info("%s/%s@%d: nothing inside the analysis band", w.station_id, w.channel.value, w.t0_ms)
-        return empty
+        return DetectionReport()
 
     try:
         fit = prony.prony_analyze(bp)
     except prony.InsufficientExcitation:
-        return empty
+        return DetectionReport()
 
     spec = spectrum.dft(bp, spectrum.WindowFunction.Hann)
     try:
@@ -203,4 +197,4 @@ def detect(w: SampleWindow, cfg: AnalysisConfig | None = None) -> DetectionRepor
             )
         )
 
-    return replace(empty, prony_fit=fit, fft_peaks=tuple(peaks), alarms=tuple(alarms))
+    return DetectionReport(fit, tuple(peaks), tuple(alarms))

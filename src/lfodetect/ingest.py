@@ -50,10 +50,6 @@ _TIMESTAMP_MIN, _TIMESTAMP_MAX = -(2**63), 2**63 - 1
 _CHANNELS = {c.value: c for c in Channel}
 
 
-class FileUnreadable(OSError):
-    """Archive file cannot be opened."""
-
-
 class SchemaMismatch(ValueError):
     """Archive header line does not match the expected schema."""
 
@@ -128,7 +124,7 @@ def read_archive(path, report: ParseReport | None = None) -> Iterator[ArchiveRec
     instant; a bad timestamp is noted on every line that carries it.
 
     Raises:
-        FileUnreadable: file cannot be opened.
+        OSError: file cannot be opened.
         SchemaMismatch: header line is wrong or not valid UTF-8.
     """
     path = Path(path)
@@ -136,7 +132,7 @@ def read_archive(path, report: ParseReport | None = None) -> Iterator[ArchiveRec
     try:
         handle = open(path, "r", encoding="utf-8", errors="surrogateescape", newline="")
     except OSError as exc:
-        raise FileUnreadable(f"cannot open archive {path}: {exc}") from exc
+        raise OSError(f"cannot open archive {path}: {exc}") from exc
     # spreadsheet tools save CSV with a byte-order mark, which str.strip keeps
     header = handle.readline().removeprefix("\ufeff").strip("\r\n").strip()
     if header != ARCHIVE_HEADER:
@@ -206,7 +202,10 @@ def make_windows(
     Missing or irregular slots up to MAX_GAP_FRACTION (1%) of a window are
     linearly interpolated; beyond that the window is skipped with a
     diagnostic, as is a window whose interpolation overflows (between
-    values near float's limit). Emitted windows are ordered by (station,
+    values near float's limit). Windows that hold no sample at all, as in
+    an outage or between a stream and an outlier timestamp, are never
+    built: each stretch of them is one diagnostic that gives its count
+    and its first and last t0. Emitted windows are ordered by (station,
     channel, t0).
     As records arrive, each stream keeps only their timestamps and values
     in two typed buffers, 16 bytes a record (a missing value as NaN), so
@@ -299,8 +298,10 @@ def _stream_windows(
     t_start, n_slots, slots, values = _filled_slots(station, channel, buffers, dt_ms)
     values.flags.writeable = False
 
-    width = policy.window_samples
-    starts = np.arange(0, n_slots - width + 1, policy.stride_samples)
+    width, stride = policy.window_samples, policy.stride_samples
+    g_last = (n_slots - width) // stride  # the last full window's grid index
+    grid = _held_windows(slots, width, stride, g_last)
+    starts = grid * stride
     # a window's filled slots are one run of `slots`, two binary searches apart
     firsts = np.searchsorted(slots, starts)
     counts = width - (np.searchsorted(slots, starts + width) - firsts)
@@ -309,16 +310,26 @@ def _stream_windows(
     share = np.count_nonzero(counts == 0) * width >= values.size
     windows = []
 
-    def skip(t0: int, reason: str) -> None:
-        message = f"stream {station}/{channel.value}: window t0={t0} skipped, {reason}"
+    def t0_of(g: int) -> int:
+        return int(round(t_start + g * stride * dt_ms))
+
+    def skip(message: str) -> None:
+        message = f"stream {station}/{channel.value}: {message}"
         logger.warning(message)
         if diagnostics is not None:
             diagnostics.append(message)
 
-    for start, first, n_missing in zip(starts.tolist(), firsts.tolist(), counts.tolist()):
-        t0 = int(round(t_start + start * dt_ms))
+    def skip_empty(g_from: int, g_to: int) -> None:
+        if g_to >= g_from:
+            skip(f"{g_to - g_from + 1} windows t0={t0_of(g_from)}..{t0_of(g_to)} skipped, no samples")
+
+    next_g = 0
+    for g, first, n_missing in zip(grid.tolist(), firsts.tolist(), counts.tolist()):
+        skip_empty(next_g, g - 1)
+        next_g = g + 1
+        start, t0 = g * stride, t0_of(g)
         if n_missing / width > MAX_GAP_FRACTION:
-            skip(t0, f"{n_missing}/{width} samples missing")
+            skip(f"window t0={t0} skipped, {n_missing}/{width} samples missing")
             continue
         last = first + width - n_missing
         segment = values[first:last]
@@ -327,13 +338,33 @@ def _stream_windows(
             segment = np.interp(np.arange(width), slots[first:last] - start, segment)
             overflow = np.flatnonzero(~np.isfinite(segment))
             if overflow.size:
-                skip(t0, f"interpolated sample {overflow[0]} is not finite")
+                skip(f"window t0={t0} skipped, interpolated sample {overflow[0]} is not finite")
                 continue
             segment.flags.writeable = False
         if n_missing or share:
             segment = _Shared(segment)
         windows.append(SampleWindow(station, channel, t0, policy.expected_dt, segment))
+    skip_empty(next_g, g_last)
     return windows
+
+
+def _held_windows(slots: np.ndarray, width: int, stride: int, last: int) -> np.ndarray:
+    """Ascending grid indices g, 0 <= g <= last, of the windows (slots
+    g * stride to g * stride + width - 1) that hold at least one of the
+    filled `slots`, without enumerating the span between them: a run of
+    filled slots a..b reaches g = ceil((a - width + 1) / stride) to
+    b // stride, and runs whose reaches overlap or touch merge."""
+    if not slots.size:
+        return slots
+    heads = np.flatnonzero(np.diff(slots) != 1) + 1
+    lo = np.maximum(-((width - 1 - slots[np.r_[0, heads]]) // stride), 0)
+    hi = np.minimum(slots[np.r_[heads - 1, slots.size - 1]] // stride, last)
+    # both ascend, so a merged reach ends at its last run's end; a reach
+    # past the last full window is empty
+    new = np.r_[True, lo[1:] > hi[:-1] + 1]
+    lo, hi = lo[new], hi[np.r_[new[1:], True]]
+    sizes = np.maximum(hi - lo + 1, 0)
+    return np.repeat(lo - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
 
 
 def _filled_slots(

@@ -1,5 +1,7 @@
 """The package's public surface: every name `import lfodetect` offers."""
 
+import dataclasses
+
 import lfodetect
 from lfodetect import emd, prony
 
@@ -16,14 +18,11 @@ PUBLIC_NAMES = [
     "DetectionReport",
     "DtMismatch",
     "EmptyBand",
-    "FileUnreadable",
     "Imf",
     "ImfSet",
     "InsufficientExcitation",
     "InvalidSpec",
     "ModeClass",
-    "NonFiniteSample",
-    "NonPositiveDt",
     "OrderTooHigh",
     "ParseReport",
     "PronyFit",
@@ -38,7 +37,6 @@ PUBLIC_NAMES = [
     "ToneSpec",
     "ValidationError",
     "WindowFunction",
-    "WindowTooShort",
     "WindowingPolicy",
     "bandpass",
     "characteristic_roots",
@@ -64,6 +62,11 @@ PUBLIC_NAMES = [
 def test_public_names():
     assert lfodetect.__all__ == PUBLIC_NAMES
     assert all(hasattr(lfodetect, name) for name in PUBLIC_NAMES)
+
+
+def test_detection_report_holds_what_detect_found():
+    # the caller holds the window, so the report repeats none of it
+    assert [f.name for f in dataclasses.fields(lfodetect.DetectionReport)] == ["prony_fit", "fft_peaks", "alarms"]
 
 
 def test_test_only_helpers_are_not_in_the_package():

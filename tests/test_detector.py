@@ -146,6 +146,37 @@ class TestDetect:
         assert report.prony_fit is None
         assert report.fft_peaks == ()
 
+    def test_no_spectral_peak_keeps_the_fit(self, monkeypatch):
+        from lfodetect import EmptyBand, spectrum
+
+        w = generate(SynthSpec(tones=(ToneSpec(0.1, 0.52, damping=0.05),), dt=0.04, count=626, noise_snr_db=40, rng_seed=3))
+        fit = detect(w).prony_fit
+
+        def no_peaks(spec, band_hz):
+            raise EmptyBand("no peak inside the band")
+
+        monkeypatch.setattr(spectrum, "find_peaks", no_peaks)
+        report = detect(w)
+        assert report.prony_fit.modes == fit.modes and report.prony_fit.fit_quality == fit.fit_quality
+        assert report.fft_peaks == () and report.alarms == ()
+
+    def test_band_passed_window_without_excitation_gives_empty_report(self, monkeypatch):
+        from lfodetect import DetectionReport, prony
+
+        w = generate(SynthSpec(tones=(ToneSpec(0.1, 0.52, damping=0.05),), dt=0.04, count=626, noise_snr_db=40, rng_seed=3))
+        fitted = []
+
+        def no_excitation(bp, order=None):
+            fitted.append(bp)
+            raise prony.InsufficientExcitation("degenerate prediction system")
+
+        monkeypatch.setattr(prony, "prony_analyze", no_excitation)
+        report = detect(w)
+        # the full fit of the band-passed window raised, so no half fit ran
+        assert len(fitted) == 1 and fitted[0].count == w.count
+        assert not np.array_equal(fitted[0].samples, w.samples)
+        assert dataclasses.astuple(report) == dataclasses.astuple(DetectionReport()) == (None, (), ())
+
     def test_control_band_preset(self):
         w = generate(SynthSpec(tones=(ToneSpec(0.31, 4.0, damping=-0.21),), dt=0.04, count=626))
         assert detect(w).alarms == ()
@@ -203,6 +234,26 @@ class TestDetect:
         assert all(any(p is x for x in report.fft_peaks) for p in peaks)
         assert len({id(m) for m in modes}) == len(modes)
         assert len({id(p) for p in peaks}) == len(peaks)
+
+
+@pytest.mark.parametrize("count, modes, half_fits", [(22, [_mode(0.5)], 0), (626, [], 0), (24, [_mode(0.5)], 1)],
+                         ids=["halves-under-12-samples", "no-modes", "halves-of-12-samples"])
+def test_stability_gate_runs_only_on_halves_it_can_fit(monkeypatch, make_window, count, modes, half_fits):
+    """`_stable_modes` returns its modes as they are, without a half fit,
+    when there is no mode to check or a half holds fewer than 12 samples;
+    a half fit that finds no excitation keeps them too."""
+    from lfodetect import detector, prony
+
+    fitted = []
+
+    def no_excitation(half, order=None):
+        fitted.append(half)
+        raise prony.InsufficientExcitation("degenerate prediction system")
+
+    monkeypatch.setattr(prony, "prony_analyze", no_excitation)
+    w = make_window(np.sin(np.arange(count) * 0.3))
+    assert detector._stable_modes(w, modes) is modes
+    assert len(fitted) == half_fits
 
 
 def make_noise_window(rng):
@@ -272,7 +323,7 @@ def test_match_in_classification_gap_raises_no_alarm(frequency, classes):
     (peak,) = report.fft_peaks
     assert abs(mode.frequency - frequency) < 0.01 and abs(peak.frequency - frequency) < 0.01
     # the two agree within the window's match tolerance
-    tol = max(1.0 / report.duration_s, detector.MATCH_TOLERANCE_FLOOR_HZ)
+    tol = max(1.0 / w.duration, detector.MATCH_TOLERANCE_FLOOR_HZ)
     assert detector.match_modes(report.prony_fit.modes, report.fft_peaks, tol) == [(mode, peak)]
     assert classify(0.5 * (mode.frequency + peak.frequency)) == frozenset(classes)
     assert [a.classes for a in report.alarms] == ([classes] if classes else [])

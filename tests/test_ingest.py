@@ -2,6 +2,7 @@ import dataclasses
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,6 @@ from lfodetect import (
     ArchiveRecord,
     Channel,
     DtMismatch,
-    FileUnreadable,
     ParseReport,
     SchemaMismatch,
     SynthSpec,
@@ -72,8 +72,10 @@ class TestReadArchive:
             read_archive(p)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FileUnreadable):
-            read_archive(tmp_path / "nope.csv")
+        path = tmp_path / "nope.csv"
+        with pytest.raises(OSError, match=f"^cannot open archive {re.escape(str(path))}: ") as exc:
+            read_archive(path)
+        assert isinstance(exc.value.__cause__, FileNotFoundError)
 
     def test_crlf_accepted(self, tmp_path):
         p = tmp_path / "a.csv"
@@ -304,6 +306,33 @@ class TestMakeWindows:
         assert len(windows) == 16
         assert peak < 10_000_000
 
+    def test_outage_is_one_diagnostic(self):
+        # 10 min, a 2-day outage, 10 min more: 34 555 windows without a
+        # sample between the two stretches of data
+        records = _clean_records(15000) + _clean_records(15000, start=600_000 + 2 * 86_400_000)
+        diagnostics = []
+        windows = make_windows(records, WindowingPolicy(), diagnostics)
+        assert len(windows) == 231
+        assert "stream s1/Frequency_Hz: 34555 windows t0=600000..173370000 skipped, no samples" in diagnostics
+        assert len(diagnostics) <= 11
+
+    @pytest.mark.parametrize("stamp, offset", [(999_999_999_999_999, 0), (-999_999_999_999_999, 1)],
+                             ids=["far-future", "far-past"])
+    def test_outlier_stamp_costs_only_its_own_windows(self, stamp, offset):
+        # the grid anchors at the first stamp, here 1 ms off the clean
+        # stream's grid for the far-past one; the 2e11 windows between the
+        # outlier and the data are never built
+        clean = _clean_records(1501)
+        records = clean[:200] + [ArchiveRecord(stamp, "s1", Channel.Frequency_Hz, 0.0)] + clean[200:]
+        diagnostics = []
+        windows = make_windows(records, WindowingPolicy(), diagnostics)
+        expected = make_windows(clean, WindowingPolicy())
+        assert [(w.t0_ms - offset, w.samples.tobytes()) for w in windows] == [
+            (w.t0_ms, w.samples.tobytes()) for w in expected
+        ]
+        assert len(diagnostics) <= 2 * math.ceil(626 / 125) + 1
+        assert sum("skipped, no samples" in line for line in diagnostics) == 1
+
     def test_windowing_holds_few_arrays_per_stream(self):
         # two interleaved gapless streams, held by the caller: 16 bytes a
         # record while grouping, then the sort and slot temporaries of one
@@ -488,8 +517,10 @@ def _reference_read(path, report):
 
 def _reference_make_windows(records, policy, diagnostics):
     """`make_windows` as it was before the array rewrite: a key-function sort
-    and a slotting loop per record, first regular record wins a slot; and,
-    as since, a window whose interpolation overflows is skipped."""
+    and a slotting loop per record, first regular record wins a slot, and
+    every window of the stream's span enumerated; and, as since, a window
+    whose interpolation overflows is skipped, and each stretch of windows
+    without samples is one diagnostic."""
     streams = {}
     for rec in records:
         streams.setdefault((rec.station_id, rec.channel.value), []).append(rec)
@@ -526,12 +557,18 @@ def _reference_make_windows(records, policy, diagnostics):
 
         width = policy.window_samples
         channel = Channel(channel_value)
+        empty = []  # t0 of each window in the current stretch without samples
         start = 0
         while start + width <= n_slots:
             segment = values[start : start + width]
             missing = np.isnan(segment)
             n_missing = int(missing.sum())
             t0 = int(round(t_start + start * dt_ms))
+            if n_missing == width:
+                empty.append(t0)
+                start += policy.stride_samples
+                continue
+            _flush_empty(diagnostics, station, channel_value, empty)
             if n_missing / width > ingest.MAX_GAP_FRACTION:
                 diagnostics.append(
                     f"stream {station}/{channel_value}: window t0={t0} skipped, "
@@ -550,7 +587,19 @@ def _reference_make_windows(records, policy, diagnostics):
                 else:
                     windows.append(ingest.SampleWindow(station, channel, t0, policy.expected_dt, segment))
             start += policy.stride_samples
+        _flush_empty(diagnostics, station, channel_value, empty)
     return windows
+
+
+def _flush_empty(diagnostics, station, channel_value, empty):
+    """Collapse the t0s of a stretch of consecutive windows without samples,
+    each of which the reference once reported as its own `w/w samples
+    missing` line, into the one line `make_windows` gives for them."""
+    if empty:
+        diagnostics.append(
+            f"stream {station}/{channel_value}: {len(empty)} windows t0={empty[0]}..{empty[-1]} skipped, no samples"
+        )
+        empty.clear()
 
 
 def _windowing_outcome(make, records, policy):
@@ -575,8 +624,9 @@ _BASES = (0, -1_000_000, 1_700_000_000_000, 2**53 - 4_000, 2**62, 2**63 - 2**20,
 def _windowing_cases(draw):
     """Records for several streams on one sample grid, with duplicate
     timestamps, missing values, ±0.0 ties, offsets at and just past the slot
-    tolerance and at half a sample, dropped slots and runs of them, streams
-    of 0 to 2 records, in shuffled order; and a policy on that grid. Windows
+    tolerance and at half a sample, dropped slots and runs of them, an
+    outage of up to four windows, streams of 0 to 2 records, in shuffled
+    order; and a policy on that grid. Windows
     of under 100 samples, where the 1% gap rule allows no gap, and of 100 or
     more, where it allows one or two, so gapless, interpolated and skipped
     windows all occur."""
@@ -609,6 +659,10 @@ def _windowing_cases(draw):
             drawn = draw(st.dictionaries(st.integers(0, span), record, max_size=6))
             placed = [(k, drawn.get(k, (0, float(k % 7)))) for k in range(span + 1) if k not in dropped]
             placed += draw(st.lists(st.tuples(st.integers(0, span), record), max_size=8))
+            # an outage: the records after a cut move on by up to four windows
+            cut = draw(st.integers(0, span))
+            outage = draw(st.sampled_from([0, 0, window // 2, window + 1, 2 * window + 5, 4 * window]))
+            placed = [(k + outage * (k > cut), r) for k, r in placed]
         records += [ArchiveRecord(base + round(k * dt_ms) + shift, station, channel, v)
                     for k, (shift, v) in placed]
     policy = WindowingPolicy(window_seconds=window * dt,
