@@ -38,7 +38,6 @@ from .ingest import (
 )
 from .prony import (
     InsufficientExcitation,
-    OrderTooHigh,
     RootSolverDiverged,
     characteristic_roots,
     fit_lpm,
@@ -65,7 +64,6 @@ __all__ = [
     "InsufficientExcitation",
     "InvalidSpec",
     "ModeClass",
-    "OrderTooHigh",
     "ParseReport",
     "PronyFit",
     "PronyMode",

@@ -33,7 +33,6 @@ from .core import (
     SampleWindow,
     Severity,
     SpectrumPeak,
-    validate_window,
 )
 
 logger = logging.getLogger(__name__)
@@ -143,16 +142,17 @@ def _stable_modes(bp: SampleWindow, modes):
 
 
 def detect(w: SampleWindow, cfg: AnalysisConfig | None = None) -> DetectionReport:
-    """Run the full pipeline on one validated window. Prony fits the
-    window and its halves at the automatic order, which every window
-    supports; cfg sets only the analysis band.
+    """Run the full pipeline on one window. Prony fits the window and its
+    halves at the automatic order, which every window supports; cfg sets
+    only the analysis band.
 
     An empty band-pass result (nothing inside cfg.emd_band_hz) yields an
     empty report rather than an error.
+
+    Raises:
+        ValidationError: the window breaks a SampleWindow invariant (`emd.decompose` checks).
     """
     cfg = cfg or AnalysisConfig()
-    validate_window(w)
-
     try:
         bp = emd.bandpass(w, cfg)
     except EmptyBand:
@@ -164,11 +164,7 @@ def detect(w: SampleWindow, cfg: AnalysisConfig | None = None) -> DetectionRepor
     except prony.InsufficientExcitation:
         return DetectionReport()
 
-    spec = spectrum.dft(bp, spectrum.WindowFunction.Hann)
-    try:
-        peaks = spectrum.find_peaks(spec, cfg.emd_band_hz)
-    except EmptyBand:
-        peaks = []
+    peaks = spectrum.find_peaks(spectrum.dft(bp, spectrum.WindowFunction.Hann), cfg.emd_band_hz)
 
     candidates = _stable_modes(bp, fit.modes)
     if fit.fit_quality < MIN_FIT_QUALITY:

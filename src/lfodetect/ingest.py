@@ -370,15 +370,16 @@ def _held_windows(slots: np.ndarray, width: int, stride: int, last: int) -> np.n
 def _filled_slots(
     station: str, channel: Channel, buffers: list[array], dt_ms: float
 ) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """(first timestamp, slots spanned, filled slots ascending, their
+    """(grid anchor timestamp, slots spanned, filled slots ascending, their
     values) of a stream of two or more records, from its [stamps, values]
     buffers; a slot is filled when its first regular record has a value.
     The buffers are taken out of the list and read without a copy, so
     they are freed once the records are sorted. Every temporary is
     released at its last use: the sort order and absent mask once the
-    records are sorted, the shifted stamps once scaled, the float stamps
-    once measured against their slots. The slot arithmetic runs in place,
-    so at most five arrays of the stream's length are alive at once.
+    records are sorted, the phase bins once counted, the shifted stamps
+    once scaled, the float stamps once measured against their slots. The
+    slot arithmetic runs in place, so at most five arrays of the stream's
+    length are alive at once.
 
     Raises:
         DtMismatch: the median spacing deviates from dt_ms by more than 10%.
@@ -393,6 +394,16 @@ def _filled_slots(
     stamps = stamps[order]
     vals = vals[order]
     del order
+    # anchor on the grid most records share: phases against the first record
+    # fall in ten bins a slot tolerance wide; a bin holding more records than
+    # the first and last together (the first record's grid) anchors instead.
+    # Sorted stamps differ by less than 2**64 ms, so the uint64 view of
+    # their difference is exact where int64 wraps, here and below.
+    bins = np.remainder((stamps - stamps[0]).view(np.uint64), dt_ms) / (_SLOT_TOLERANCE * dt_ms)
+    bins = np.minimum(bins, 9, out=bins).astype(np.intp)
+    counts = np.bincount(bins, minlength=10)
+    first = int(np.argmax(bins == np.argmax(counts))) if counts.max() > counts[0] + counts[9] else 0
+    del bins
     ts = stamps.astype(float)
     spacing = _median(np.diff(ts))
     if abs(spacing - dt_ms) > 0.1 * dt_ms:
@@ -400,12 +411,12 @@ def _filled_slots(
             f"stream {station}/{channel.value}: median spacing {spacing:.3f} ms "
             f"deviates from expected {dt_ms:.3f} ms by more than 10%"
         )
+    stamps, vals, ts = stamps[first:], vals[first:], ts[first:]
     t_start = int(stamps[0])
     n_slots = int(round((ts[-1] - t_start) / dt_ms)) + 1
     # the per-record rule in array form: slot = round((ts - t_start) / dt),
     # half to even, and a record off its slot by more than the tolerance
-    # is irregular and leaves the slot missing. Sorted stamps differ by
-    # less than 2**64 ms, so the uint64 view is exact where int64 wraps.
+    # is irregular and leaves the slot missing.
     stamps -= t_start
     buf = stamps.view(np.uint64).astype(float)
     del stamps

@@ -68,10 +68,6 @@ _SQRT2 = math.sqrt(2.0)
 MAX_AUTO_ORDER = 60
 
 
-class OrderTooHigh(ValueError):
-    """Sample count is below three times the requested model order."""
-
-
 class InsufficientExcitation(ValueError):
     """The prediction system is degenerate (e.g. an all-zero window)."""
 
@@ -86,12 +82,12 @@ def max_order(count: int) -> int:
 
 
 def check_order(count: int, order: int) -> None:
-    """Raise unless `count` samples support `order`: ValueError for an order
-    below 1, OrderTooHigh for one above max_order(count) (count < 3 * order)."""
+    """Raise ValueError unless `count` samples support `order`: an order
+    below 1, or one above max_order(count) (count < 3 * order)."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if order > max_order(count):
-        raise OrderTooHigh(f"{count} samples cannot support order {order} (need >= {3 * order})")
+        raise ValueError(f"{count} samples cannot support order {order} (need >= {3 * order})")
 
 
 def fit_lpm(w: SampleWindow, order: int) -> np.ndarray:
@@ -99,8 +95,8 @@ def fit_lpm(w: SampleWindow, order: int) -> np.ndarray:
     y[m] = a_1*y[m-1] + ... + a_N*y[m-N] over m = N..count-1.
 
     Raises:
-        ValueError: order < 1.
-        OrderTooHigh: count < 3 * order.
+        ValidationError: the window breaks a SampleWindow invariant.
+        ValueError: order < 1 or count < 3 * order.
         InsufficientExcitation: design matrix has rank zero.
     """
     validate_window(w)
@@ -245,10 +241,9 @@ def prony_analyze(w: SampleWindow, order: int | None = None) -> PronyFit:
     and grades the result by reconstruction error.
 
     Raises:
-        ValueError: order < 1.
-        OrderTooHigh: order above max_order(count).
+        ValidationError: the window breaks a SampleWindow invariant (`fit_lpm` checks).
+        ValueError: order < 1 or above max_order(count).
     """
-    validate_window(w)
     y = w.samples
     if order is None:
         order = min(max_order(y.size), MAX_AUTO_ORDER)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmptyBand, SampleWindow, SpectrumPeak, _readonly, validate_window, wrap_angle
+from .core import SampleWindow, SpectrumPeak, _readonly, validate_window, wrap_angle
 
 
 class WindowFunction(str, enum.Enum):
@@ -123,11 +123,11 @@ def find_peaks(s: Spectrum, band_hz: tuple[float, float]) -> list[SpectrumPeak]:
     refined by parabolic interpolation and sorted by magnitude descending.
 
     Peaks below PEAK_MIN_FRACTION of the band maximum are discarded; at
-    most MAX_PEAKS survive.
+    most MAX_PEAKS survive. A band that holds no bin or no peak above the
+    threshold gives [], a normal outcome for one window.
 
     Raises:
         ValueError: band outside [0, Nyquist] or ill-ordered.
-        EmptyBand: the band holds no bins or no peak clears the threshold.
     """
     lo, hi = band_hz
     if not (0.0 <= lo <= hi):
@@ -138,7 +138,7 @@ def find_peaks(s: Spectrum, band_hz: tuple[float, float]) -> list[SpectrumPeak]:
     k_lo = max(0, int(math.ceil(lo / s.df - 1e-9)))
     k_hi = min(half, int(math.floor(hi / s.df + 1e-9)))
     if k_lo > k_hi:
-        raise EmptyBand(f"band [{lo}, {hi}] Hz holds no spectral bins (df = {s.df} Hz)")
+        return []
 
     mags = s.magnitudes
     threshold = PEAK_MIN_FRACTION * float(np.max(mags[k_lo : k_hi + 1]))
@@ -151,7 +151,5 @@ def find_peaks(s: Spectrum, band_hz: tuple[float, float]) -> list[SpectrumPeak]:
         freq, magnitude = _refine_peak(mags, k, s.df)
         freq = min(max(freq, 0.0), s.nyquist_hz)
         peaks.append(SpectrumPeak(freq, magnitude, wrap_angle(float(np.angle(s.bins[k])))))
-    if not peaks:
-        raise EmptyBand(f"no peak above threshold in [{lo}, {hi}] Hz")
     peaks.sort(key=lambda p: (-p.magnitude, p.frequency))
     return peaks[:MAX_PEAKS]

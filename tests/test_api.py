@@ -23,7 +23,6 @@ PUBLIC_NAMES = [
     "InsufficientExcitation",
     "InvalidSpec",
     "ModeClass",
-    "OrderTooHigh",
     "ParseReport",
     "PronyFit",
     "PronyMode",

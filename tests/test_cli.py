@@ -231,6 +231,22 @@ class TestDetect:
         assert run("detect", bom_archive, "--out-dir", bom) == 3
         assert (bom / "alarms.jsonl").read_bytes() == (plain / "alarms.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("stamp", [-3_599_990, 29_990], ids=["ahead", "middle"])
+    def test_stray_stamp_gives_same_alarms(self, tmp_path, stamp):
+        # 10 ms off the data's grid, after line 200: 1 h early, or at the
+        # middle of the 1 501 records once sorted
+        clean = tmp_path / "g.csv"
+        assert run("synth", "--tone", "0.1,0.52,0.05", "--snr-db", "40", "--seconds", "60", "-o", clean) == 0
+        lines = clean.read_text().splitlines(keepends=True)
+        lines.insert(200, f"{stamp},synthetic,Frequency_Hz,0.0\n")
+        stray = tmp_path / "s.csv"
+        stray.write_text("".join(lines))
+        assert run("detect", clean, "--out-dir", tmp_path / "clean") == 3
+        assert run("detect", stray, "--out-dir", tmp_path / "stray") == 3
+        alarms = (tmp_path / "stray" / "alarms.jsonl").read_bytes()
+        assert len(alarms.splitlines()) == 7
+        assert alarms == (tmp_path / "clean" / "alarms.jsonl").read_bytes()
+
     def test_band_flag_sets_analysis_band(self, tmp_path):
         archive = tmp_path / "a.csv"
         run("synth", "--tone", "1,4.0,-0.21", "--seconds", "25.04", "-o", archive)
@@ -658,6 +674,25 @@ class TestExitCodeContract:
         assert "Traceback" not in err
         assert message in err
         assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["a.csv"]
+
+    def test_window_failure_ends_the_run(self, tmp_path, capsys, monkeypatch):
+        # an unexpected error inside one window's analysis exits 2, naming
+        # the window, before any manifest is written
+        archive = tmp_path / "a.csv"
+        run("synth", "--tone", "1,0.7", "--seconds", "60", "-o", archive)
+        fit = lf.prony.prony_analyze
+
+        def failing(w, order=None):
+            if w.t0_ms == 5000:
+                raise RuntimeError("boom")
+            return fit(w, order)
+
+        monkeypatch.setattr(lf.prony, "prony_analyze", failing)
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run("analyze", archive, "--out-dir", out) == 2
+        assert capsys.readouterr().err == "error: synthetic_Frequency_Hz_5000: boom\n"
+        assert not (out / "run_manifest.json").exists()
 
     @pytest.mark.parametrize("command", ["analyze", "detect", "spectrum"])
     def test_overflowing_interpolation_skips_window(self, tmp_path, capsys, command):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import lfodetect as lf
 from lfodetect import (
     AnalysisConfig,
     Channel,
@@ -52,6 +53,35 @@ class TestValidateWindow:
     def test_any_finite_window_accepted(self, samples):
         w = SampleWindow("s", Channel.Frequency_Hz, 0, 0.04, np.array(samples))
         assert validate_window(w) is w
+
+
+def _nan_at_7():
+    samples = np.ones(20)
+    samples[7] = np.nan
+    return samples
+
+
+#: Every public stage that takes a window, called the way its callers call it.
+_STAGES = {
+    "detect": lf.detect,
+    "decompose": lf.decompose,
+    "bandpass": lf.bandpass,
+    "prony_analyze": lf.prony_analyze,
+    "fit_lpm": lambda w: lf.fit_lpm(w, 1),
+    "solve_amplitudes": lambda w: lf.solve_amplitudes(w, [0.5]),
+    "dft": lf.dft,
+}
+
+
+@pytest.mark.parametrize("stage", sorted(_STAGES))
+@pytest.mark.parametrize("dt, samples, message", [
+    (0.0, np.ones(10), "sample interval must be a positive finite number, got 0.0"),
+    (0.04, np.ones(3), "window has 3 samples, need at least 4"),
+    (0.04, _nan_at_7(), "sample 7 is not finite"),
+], ids=["dt-0", "3-samples", "nan-at-7"])
+def test_every_stage_checks_its_window(make_window, stage, dt, samples, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        _STAGES[stage](make_window(samples, dt=dt))
 
 
 class TestSampleWindow:

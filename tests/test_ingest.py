@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -319,9 +320,9 @@ class TestMakeWindows:
     @pytest.mark.parametrize("stamp, offset", [(999_999_999_999_999, 0), (-999_999_999_999_999, 1)],
                              ids=["far-future", "far-past"])
     def test_outlier_stamp_costs_only_its_own_windows(self, stamp, offset):
-        # the grid anchors at the first stamp, here 1 ms off the clean
-        # stream's grid for the far-past one; the 2e11 windows between the
-        # outlier and the data are never built
+        # the far-past stamp lies 1 ms off the clean stream's grid, within
+        # the slot tolerance, so it still anchors the grid; the 2e11
+        # windows between the outlier and the data are never built
         clean = _clean_records(1501)
         records = clean[:200] + [ArchiveRecord(stamp, "s1", Channel.Frequency_Hz, 0.0)] + clean[200:]
         diagnostics = []
@@ -332,6 +333,54 @@ class TestMakeWindows:
         ]
         assert len(diagnostics) <= 2 * math.ceil(626 / 125) + 1
         assert sum("skipped, no samples" in line for line in diagnostics) == 1
+
+    @pytest.mark.parametrize("stamp, at", [(-3_599_990, 0), (30_010, 751)], ids=["ahead", "middle"])
+    def test_stray_stamp_keeps_the_grid(self, stamp, at):
+        # 10 ms off the data's grid, 1 h ahead of the data or at the sorted
+        # middle index: anchored there, the grid would make every later
+        # real record irregular
+        clean = _clean_records(1501)
+        records = clean[:199] + [ArchiveRecord(stamp, "s1", Channel.Frequency_Hz, 0.0)] + clean[199:]
+        assert sorted(r.timestamp_ms for r in records)[at] == stamp
+        diagnostics = []
+        windows = make_windows(records, WindowingPolicy(), diagnostics)
+        expected = make_windows(clean, WindowingPolicy())
+        assert [w.t0_ms for w in windows] == [0, 5000, 10000, 15000, 20000, 25000, 30000, 35000]
+        assert [(w.t0_ms, w.samples.tobytes()) for w in windows] == [
+            (w.t0_ms, w.samples.tobytes()) for w in expected
+        ]
+        assert diagnostics == []
+
+    def test_clock_step_anchors_on_the_grid_most_records_share(self):
+        # 300 records, then a 10 ms clock step and 1201 more: the later
+        # phase holds most records, so its first record anchors the grid
+        # and the 300 before it are irregular
+        early = _clean_records(300)
+        late = _clean_records(1201, start=12_010)
+        windows = make_windows(early + late, WindowingPolicy())
+        assert [w.t0_ms for w in windows] == [12_010 + 5000 * k for k in range(5)]
+        assert windows[0].samples.tobytes() == make_windows(late, WindowingPolicy())[0].samples.tobytes()
+
+    def test_two_records_off_each_others_grid(self):
+        # 45 ms apart, 5 ms off each other's grid: the phase bins tie, so the
+        # first record anchors. At 2**54 the float stamps are 44 ms apart,
+        # within 10% of 40 ms, so no DtMismatch is raised, and the second
+        # record's float stamp lies within tolerance of slot 1
+        stamps = (2**54, 2**54 + 45)
+        policy = WindowingPolicy(window_seconds=0.12, stride_seconds=0.04)
+        diagnostics = []
+        records = [ArchiveRecord(ts, "s1", Channel.Frequency_Hz, 1.0) for ts in stamps]
+        assert make_windows(records, policy, diagnostics) == []
+        assert diagnostics == []
+        buffers = [array("q", stamps), array("d", [1.0, 1.0])]
+        t_start, n_slots, slots, values = ingest._filled_slots("s1", Channel.Frequency_Hz, buffers, 40.0)
+        assert (t_start, n_slots, slots.tolist(), values.tolist()) == (2**54, 2, [0, 1], [1.0, 1.0])
+
+    def test_stream_without_a_filled_slot(self):
+        records = [ArchiveRecord(40 * i, "s", Channel.Frequency_Hz, None) for i in range(1000)]
+        diagnostics = []
+        assert make_windows(records, WindowingPolicy(), diagnostics) == []
+        assert diagnostics == ["stream s/Frequency_Hz: 3 windows t0=0..10000 skipped, no samples"]
 
     def test_windowing_holds_few_arrays_per_stream(self):
         # two interleaved gapless streams, held by the caller: 16 bytes a
@@ -519,8 +568,12 @@ def _reference_make_windows(records, policy, diagnostics):
     """`make_windows` as it was before the array rewrite: a key-function sort
     and a slotting loop per record, first regular record wins a slot, and
     every window of the stream's span enumerated; and, as since, a window
-    whose interpolation overflows is skipped, and each stretch of windows
-    without samples is one diagnostic."""
+    whose interpolation overflows is skipped, each stretch of windows
+    without samples is one diagnostic, and the grid is anchored at the
+    first record, unless more records share another phase bin (a tenth of
+    dt wide, against the first record) than share the first record's own
+    two bins; then at the first record in that bin, the records before it
+    dropped."""
     streams = {}
     for rec in records:
         streams.setdefault((rec.station_id, rec.channel.value), []).append(rec)
@@ -539,6 +592,14 @@ def _reference_make_windows(records, policy, diagnostics):
                 f"stream {station}/{channel_value}: median spacing {spacing:.3f} ms "
                 f"deviates from expected {dt_ms:.3f} ms by more than 10%"
             )
+        bins = [
+            min(int((rec.timestamp_ms - recs[0].timestamp_ms) % dt_ms / (ingest._SLOT_TOLERANCE * dt_ms)), 9)
+            for rec in recs
+        ]
+        counts = [bins.count(b) for b in range(10)]
+        best = counts.index(max(counts))
+        if counts[best] > counts[0] + counts[9]:
+            recs = recs[bins.index(best):]
         t_start = recs[0].timestamp_ms
         n_slots = int(round((ts[-1] - t_start) / dt_ms)) + 1
         values = np.full(n_slots, np.nan)
@@ -746,6 +807,12 @@ class TestMatchesReference:
     @example(([ArchiveRecord(40 * k, "a", Channel.Frequency_Hz, {49: 1e308, 51: -1.7e308}.get(k, float(k)))
                for k in range(102) if k != 50],
               WindowingPolicy(window_seconds=3.96, stride_seconds=0.04, expected_dt=0.04)))
+    # a first record 20 ms off the grid of the three after it, which anchor
+    @example(([ArchiveRecord(ts, "a", Channel.Frequency_Hz, 1.0) for ts in (-20, 160, 200, 240)],
+              WindowingPolicy(window_seconds=0.12, stride_seconds=0.04, expected_dt=0.04)))
+    # the middle record off the grid of the rest, which keep the first's
+    @example(([ArchiveRecord(ts, "a", Channel.Frequency_Hz, 1.0) for ts in (0, 40, 90, 120, 160)],
+              WindowingPolicy(window_seconds=0.12, stride_seconds=0.04, expected_dt=0.04)))
     def test_make_windows_matches_reference(self, case):
         records, policy = case
         assert _windowing_outcome(make_windows, records, policy) == _windowing_outcome(
