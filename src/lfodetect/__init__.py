@@ -42,7 +42,6 @@ from .prony import (
     characteristic_roots,
     fit_lpm,
     prony_analyze,
-    roots_to_modes,
     solve_amplitudes,
 )
 from .signalgen import InvalidSpec, SynthSpec, ToneSpec, generate
@@ -91,7 +90,6 @@ __all__ = [
     "match_modes",
     "prony_analyze",
     "read_archive",
-    "roots_to_modes",
     "solve_amplitudes",
     "validate_window",
     "wrap_angle",

@@ -296,9 +296,13 @@ def _stream_windows(
         return []
     dt_ms = policy.expected_dt * 1000.0
     t_start, n_slots, slots, values = _filled_slots(station, channel, buffers, dt_ms)
+    width, stride = policy.window_samples, policy.stride_samples
+    if n_slots < width:
+        # no full window; the slot arithmetic below would overflow int64
+        # for a width past it
+        return []
     values.flags.writeable = False
 
-    width, stride = policy.window_samples, policy.stride_samples
     g_last = (n_slots - width) // stride  # the last full window's grid index
     grid = _held_windows(slots, width, stride, g_last)
     starts = grid * stride

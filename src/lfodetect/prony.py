@@ -1,6 +1,6 @@
 """Damped-sinusoid decomposition of a sampled window.
 
-Four chained steps:
+Three chained steps:
   1. fit a linear prediction model of order N to the samples: least
      squares over the Hankel-structured prediction equations, by one
      Householder QR of the design with the target as an extra column,
@@ -12,13 +12,14 @@ Four chained steps:
      companion matrix (LAPACK via np.roots; a deviation from the
      Aberth-Ehrlich iteration of the original method, chosen because it
      is backward stable and returns exact conjugate pairs);
-  3. map each root z to (damping, frequency) via log(z)/dt, collapsing
-     conjugate pairs to a single nonnegative-frequency entry;
-  4. solve the Vandermonde system for per-root weights by least squares
-     in a real basis (z^k per real root, sqrt(2)*Re z^k and sqrt(2)*Im z^k
-     per conjugate pair: the complex Vandermonde matrix times a unitary
+  3. turn each root group (a real root, or a conjugate pair collapsed to
+     one nonnegative-frequency entry) into one mode: damping and
+     frequency from log(z)/dt, amplitude and phase from the per-root
+     weights of the Vandermonde system, solved by least squares in a
+     real basis (z^k per real root, sqrt(2)*Re z^k and sqrt(2)*Im z^k per
+     conjugate pair: the complex Vandermonde matrix times a unitary
      matrix, so the singular values and the minimum-norm solution are the
-     same) and convert them to amplitudes and phases.
+     same).
 
 prony_analyze drives the chain, prunes numerical artifacts, and grades
 itself by reconstructing the window from the surviving modes.
@@ -175,39 +176,25 @@ def characteristic_roots(a) -> np.ndarray:
     return roots
 
 
-def roots_to_modes(roots, dt: float) -> list[tuple[float, float]]:
-    """(damping, frequency) per root group: damping = Re(log z)/dt and
-    frequency = |Im(log z)| / (2*pi*dt).
+def solve_amplitudes(w: SampleWindow, roots) -> list[tuple[float, float, float, float]]:
+    """(amplitude, damping, frequency, phase) per root group: the mode each
+    group of the given roots makes on window `w`.
 
-    The root list must be conjugate-closed and free of zero roots, and dt
-    positive and finite (ValueError otherwise). Conjugate pairs collapse to
-    one entry with frequency >= 0; real positive roots map to frequency 0;
-    real negative roots land on the Nyquist frequency. Entries align
-    one-to-one with solve_amplitudes output for the same root list.
-    """
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    ln = np.log(_group_roots(roots))
-    return list(zip((ln.real / dt).tolist(), (np.abs(ln.imag) / (TWO_PI * dt)).tolist()))
+    Damping is Re(log z)/dt and frequency |Im(log z)| / (2*pi*dt); real
+    negative roots land on the Nyquist frequency. Amplitude and phase come
+    from the least-squares solution of the Vandermonde system, solved in a
+    real basis: z^k for each real root, and sqrt(2)*Re z^k, sqrt(2)*Im z^k
+    for each conjugate pair. That matrix is the complex Vandermonde matrix
+    times a unitary matrix, so it has the same singular values and, for
+    real samples, the same minimum-norm solution; a pair's weight on z^k is
+    B = (p - iq)/sqrt(2) for basis weights p, q.
 
-
-def solve_amplitudes(w: SampleWindow, roots) -> list[tuple[float, float]]:
-    """(amplitude, phase) per root group from the least-squares solution of
-    the Vandermonde system built on the given roots.
-
-    The system is solved in a real basis: z^k for each real root, and
-    sqrt(2)*Re z^k, sqrt(2)*Im z^k for each conjugate pair. That matrix is
-    the complex Vandermonde matrix times a unitary matrix, so it has the
-    same singular values and, for real samples, the same minimum-norm
-    solution; a pair's weight on z^k is B = (p - iq)/sqrt(2) for basis
-    weights p, q.
-
-    The root list must be conjugate-closed and free of zero roots
-    (ValueError otherwise). Conjugate pairs yield amplitude 2|B| and phase
-    arg(B); real roots yield |B| with phase 0 or pi. Entries align
-    one-to-one with roots_to_modes output for the same root list. A
-    condition estimate above 1e12 is logged as a warning; the result is
-    still returned.
+    The window must pass validate_window (ValidationError otherwise), and
+    the root list must be conjugate-closed and free of zero roots
+    (ValueError otherwise). Conjugate pairs collapse to one mode with
+    frequency >= 0, amplitude 2|B| and phase arg(B); real roots yield |B|
+    with phase 0 or pi. A condition estimate above 1e12 is logged as a
+    warning; the result is still returned.
     """
     validate_window(w)
     reps = _group_roots(roots)
@@ -225,9 +212,13 @@ def solve_amplitudes(w: SampleWindow, roots) -> list[tuple[float, float]]:
             condition,
         )
     real, p, q = np.split(weights, [n_real, reps.size])
-    return [(abs(x), 0.0 if x >= 0 else math.pi) for x in real.tolist()] + [
+    amp_phase = [(abs(x), 0.0 if x >= 0 else math.pi) for x in real.tolist()] + [
         (_SQRT2 * math.hypot(a, b), wrap_angle(math.atan2(-b, a))) for a, b in zip(p.tolist(), q.tolist())
     ]
+    ln = np.log(reps)
+    damping = (ln.real / w.dt).tolist()
+    frequency = (np.abs(ln.imag) / (TWO_PI * w.dt)).tolist()
+    return [(a, s, f, ph) for (a, ph), s, f in zip(amp_phase, damping, frequency)]
 
 
 def prony_analyze(w: SampleWindow, order: int | None = None) -> PronyFit:
@@ -235,10 +226,10 @@ def prony_analyze(w: SampleWindow, order: int | None = None) -> PronyFit:
     `order`; None, the default, means the automatic order
     min(max_order(count), MAX_AUTO_ORDER).
 
-    Chains fit_lpm -> characteristic_roots -> roots_to_modes ->
-    solve_amplitudes, discards damping artifacts and modes below
-    MIN_MODE_AMPLITUDE_FRACTION of the strongest, sorts by energy share,
-    and grades the result by reconstruction error.
+    Chains fit_lpm -> characteristic_roots -> solve_amplitudes, discards
+    damping artifacts and modes below MIN_MODE_AMPLITUDE_FRACTION of the
+    strongest, sorts by energy share, and grades the result by
+    reconstruction error.
 
     Raises:
         ValidationError: the window breaks a SampleWindow invariant (`fit_lpm` checks).
@@ -258,14 +249,7 @@ def prony_analyze(w: SampleWindow, order: int | None = None) -> PronyFit:
         logger.warning("dropping zero characteristic root")
     if not np.all(keep):
         logger.debug("discarding %d zero or damping-artifact root(s)", int(np.sum(~keep)))
-    flat = all_roots[keep]
-    sigma_freq = roots_to_modes(flat, w.dt)
-    amp_phase = solve_amplitudes(w, flat)
-
-    raw = [
-        (amp, sigma, freq, phase)
-        for (sigma, freq), (amp, phase) in zip(sigma_freq, amp_phase)
-    ]
+    raw = solve_amplitudes(w, all_roots[keep])
     if raw:
         floor = MIN_MODE_AMPLITUDE_FRACTION * max(amp for amp, *_ in raw)
         raw = [m for m in raw if m[0] >= floor]

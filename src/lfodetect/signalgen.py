@@ -105,7 +105,9 @@ def generate(
         power = float(np.mean(samples**2))
         if power <= 0.0:
             raise InvalidSpec("noise_snr_db needs a nonzero tone sum; use noise_sigma instead")
-        sigma = float(np.sqrt(power / 10.0 ** (spec.noise_snr_db / 10.0)))
+        ratio = 10.0 ** (spec.noise_snr_db / 10.0)
+        # a ratio that underflows to 0 means unbounded noise, refused below
+        sigma = float(np.sqrt(power / ratio)) if ratio > 0.0 else math.inf
     elif spec.noise_sigma is not None:
         sigma = float(spec.noise_sigma)
 

@@ -50,7 +50,6 @@ PUBLIC_NAMES = [
     "match_modes",
     "prony_analyze",
     "read_archive",
-    "roots_to_modes",
     "solve_amplitudes",
     "validate_window",
     "wrap_angle",

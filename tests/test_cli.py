@@ -649,6 +649,9 @@ class TestExitCodeContract:
              "synthesised sample 355 is not finite"),
             (["synth", "--tone", "1e308,0.5", "--snr-db", "40", "--seconds", "25.04", "-o", "{tmp}/loud.csv"],
              "synthesised sample 0 is not finite"),
+            # 10 ** (-4000 / 10) underflows to 0: noise without bound
+            (["synth", "--tone", "1,0.5", "--snr-db=-4000", "-o", "{tmp}/quiet.csv"],
+             "synthesised sample 0 is not finite"),
             # NaN fails `sigma > 0`, so it would mean no noise
             (["synth", "--noise-sigma", "nan", "--seconds", "1", "-o", "{tmp}/s.csv"],
              "noise_sigma must be >= 0, got nan"),
@@ -657,7 +660,8 @@ class TestExitCodeContract:
         ],
         ids=["analyze-out-dir-is-file", "detect-out-dir-is-file",
              "spectrum-out-dir-is-file", "out-dir-under-file", "synth-output-under-file", "synth-negative-seed",
-             "synth-tone-overflows", "synth-noise-overflows", "synth-nan-noise-sigma", "synth-nan-snr-db"],
+             "synth-tone-overflows", "synth-noise-overflows", "synth-snr-ratio-underflows", "synth-nan-noise-sigma",
+             "synth-nan-snr-db"],
     )
     def test_input_error_exits_2_with_one_line(self, tmp_path, capsys, argv, message):
         archive = tmp_path / "a.csv"
@@ -714,6 +718,19 @@ class TestExitCodeContract:
         assert manifest["note"] == "no windows"
         assert manifest["skipped_windows"] == [
             "stream synthetic/Frequency_Hz: window t0=0 skipped, interpolated sample 101 is not finite"]
+
+    @pytest.mark.parametrize("command", ["analyze", "detect", "spectrum"])
+    def test_window_past_int64_is_no_windows(self, tmp_path, capsys, command):
+        # 1e18 s at 25 samples/s is more samples than int64 holds
+        archive = tmp_path / "a.csv"
+        run("synth", "--tone", "0.1,0.52,0.05", "--snr-db", "40", "--seconds", "60", "-o", archive)
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run(command, archive, "--window-seconds", "1e18", "--out-dir", out) == 0
+        assert capsys.readouterr().out == "no windows\n"
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["note"] == "no windows"
+        assert manifest["windows"] == manifest["skipped_windows"] == []
 
 
 class TestAtomicWrite:

@@ -240,6 +240,12 @@ class TestMakeWindows:
         assert windows == []
         assert diagnostics == ["stream s1/Frequency_Hz: window t0=0 skipped, interpolated sample 101 is not finite"]
 
+    def test_window_past_int64_gives_nothing(self):
+        # 1e18 s is 2.5e19 + 1 samples, more than int64 holds
+        diagnostics = []
+        assert make_windows(_clean_records(1501), WindowingPolicy(window_seconds=1e18), diagnostics) == []
+        assert diagnostics == []
+
     def test_dt_mismatch(self):
         records = [ArchiveRecord(i * 80, "s1", Channel.Frequency_Hz, 1.0) for i in range(100)]
         with pytest.raises(DtMismatch) as exc:

@@ -17,11 +17,11 @@ from lfodetect import (
     SampleWindow,
     SynthSpec,
     ToneSpec,
+    ValidationError,
     characteristic_roots,
     fit_lpm,
     generate,
     prony_analyze,
-    roots_to_modes,
     solve_amplitudes,
     wrap_angle,
 )
@@ -45,8 +45,9 @@ def _reference_fit_lpm(w, order):
 
 def _reference_solve_amplitudes(w, roots):
     """Amplitudes and phases from the complex Vandermonde system on every
-    root, conjugates included, by SVD least squares; also returns the
-    condition number (largest over smallest singular value)."""
+    root, conjugates included, by SVD least squares, with log(z) / dt per
+    root group; also returns the condition number (largest over smallest
+    singular value)."""
     reps = _group_roots(roots)
     pairs = reps.imag > 0
     columns = np.concatenate((reps, np.conj(reps[pairs])))
@@ -59,7 +60,7 @@ def _reference_solve_amplitudes(w, roots):
         (2.0 * abs(x), wrap_angle(float(np.angle(x)))) if pair else (abs(x), 0.0 if x.real >= 0 else math.pi)
         for x, pair in zip(b.tolist(), pairs.tolist())
     ]
-    return out, condition
+    return out, (np.log(reps) / w.dt).tolist(), condition
 
 
 @st.composite
@@ -215,39 +216,42 @@ class TestCharacteristicRoots:
 
 
 class TestRootsToModes:
-    def test_damped_oscillation_root_pair(self):
+    """Damping and frequency of the modes solve_amplitudes turns roots
+    into: log(z)/dt per root group."""
+
+    def test_damped_oscillation_root_pair(self, make_window):
         lam = cmath.exp((-0.3 + 1j * 2 * math.pi * 0.7) * 0.04)
         assert abs(lam) == pytest.approx(math.exp(-0.012), abs=1e-12)
-        modes = roots_to_modes([lam, lam.conjugate()], 0.04)
+        modes = solve_amplitudes(make_window(np.ones(20)), [lam, lam.conjugate()])
         assert len(modes) == 1
-        sigma, freq = modes[0]
+        _, sigma, freq, _ = modes[0]
         assert sigma == pytest.approx(-0.3, abs=1e-10)
         assert freq == pytest.approx(0.7, abs=1e-10)
 
-    def test_unit_root_is_dc(self):
-        assert roots_to_modes([1.0 + 0j], 0.04) == [(pytest.approx(0.0), pytest.approx(0.0))]
+    def test_unit_root_is_dc(self, make_window):
+        modes = solve_amplitudes(make_window(np.ones(20)), [1.0 + 0j])
+        assert [(sigma, freq) for _, sigma, freq, _ in modes] == [(pytest.approx(0.0), pytest.approx(0.0))]
 
-    def test_negative_real_root_is_nyquist(self):
-        modes = roots_to_modes([cmath.exp(1j * math.pi)], 0.04)
-        sigma, freq = modes[0]
+    def test_negative_real_root_is_nyquist(self, make_window):
+        ((_, sigma, freq, _),) = solve_amplitudes(make_window(np.ones(20)), [cmath.exp(1j * math.pi)])
         assert freq == pytest.approx(12.5, abs=1e-9)
         assert sigma == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize(
-        "roots, dt",
+        "roots, dt, error",
         [
-            ([0.9 + 0j], 0.0),
-            ([0.9 + 0j], -0.04),
-            ([0.9 + 0j], math.nan),
-            ([0.9 + 0j], math.inf),
-            ([cmath.exp(0.3j)], 0.04),
-            ([0.0 + 0j, 0.9 + 0j], 0.04),
+            ([0.9 + 0j], 0.0, ValidationError),
+            ([0.9 + 0j], -0.04, ValidationError),
+            ([0.9 + 0j], math.nan, ValidationError),
+            ([0.9 + 0j], math.inf, ValidationError),
+            ([cmath.exp(0.3j)], 0.04, ValueError),
+            ([0.0 + 0j, 0.9 + 0j], 0.04, ValueError),
         ],
         ids=["zero-dt", "negative-dt", "nan-dt", "inf-dt", "unpaired-complex-root", "zero-root"],
     )
-    def test_rejects_invalid_input(self, roots, dt):
-        with pytest.raises(ValueError):
-            roots_to_modes(roots, dt)
+    def test_rejects_invalid_input(self, make_window, roots, dt, error):
+        with pytest.raises(error):
+            solve_amplitudes(make_window(np.ones(20), dt=dt), roots)
 
 
 class TestSolveAmplitudes:
@@ -255,13 +259,13 @@ class TestSolveAmplitudes:
         t = np.arange(400) * 0.04
         w = make_window(0.5 * np.exp(-0.3 * t) * np.cos(2 * np.pi * 0.7 * t + 0.3))
         lam = cmath.exp((-0.3 + 1j * 2 * math.pi * 0.7) * 0.04)
-        (amplitude, phase), = solve_amplitudes(w, [lam, lam.conjugate()])
+        ((amplitude, _, _, phase),) = solve_amplitudes(w, [lam, lam.conjugate()])
         assert amplitude == pytest.approx(0.5, abs=1e-9)
         assert phase == pytest.approx(0.3, abs=1e-9)
 
     def test_constant_window_with_unit_root(self, make_window):
         w = make_window(np.full(50, 2.5))
-        (amplitude, phase), = solve_amplitudes(w, [1.0 + 0j])
+        ((amplitude, _, _, phase),) = solve_amplitudes(w, [1.0 + 0j])
         assert amplitude == pytest.approx(2.5, abs=1e-12)
         assert phase == 0.0
 
@@ -269,7 +273,8 @@ class TestSolveAmplitudes:
         w = make_window(np.zeros(50))
         lam = cmath.exp((0.1 + 1j * 0.5) * 0.04)
         results = solve_amplitudes(w, [lam, lam.conjugate(), 0.8 + 0j])
-        assert all(a == pytest.approx(0.0, abs=1e-12) for a, _ in results)
+        assert len(results) == 2
+        assert all(a == pytest.approx(0.0, abs=1e-12) for a, *_ in results)
 
     def test_rejects_zero_roots(self, make_window):
         with pytest.raises(ValueError):
@@ -284,12 +289,14 @@ class TestSolveAmplitudesReference:
     @given(_conjugate_closed_roots(), st.integers(0, 2**31 - 1))
     def test_agrees_with_complex_vandermonde(self, roots, seed):
         w = _window(np.random.default_rng(seed).standard_normal(150))
-        expected, _ = _reference_solve_amplitudes(w, roots)
+        expected, logs, _ = _reference_solve_amplitudes(w, roots)
         got = solve_amplitudes(w, roots)
-        assert len(got) == len(expected)
+        assert len(got) == len(expected) == len(logs)
         scale = max(a for a, _ in expected)
-        for (a, phase), (a_ref, phase_ref) in zip(got, expected):
+        for (a, sigma, freq, phase), (a_ref, phase_ref), ln in zip(got, expected, logs):
             assert abs(cmath.rect(a, phase) - cmath.rect(a_ref, phase_ref)) <= 1e-9 * scale
+            assert sigma == pytest.approx(ln.real, abs=1e-12)
+            assert freq == pytest.approx(abs(ln.imag) / (2 * math.pi), abs=1e-12)
 
     # the fixtures hold no per-example state: the patch sets the same value
     # every time and the captured records are cleared before each solve
@@ -297,7 +304,7 @@ class TestSolveAmplitudesReference:
     @given(_conjugate_closed_roots(repeats=False), st.integers(0, 2**31 - 1))
     def test_logged_condition_matches_reference(self, monkeypatch, caplog, roots, seed):
         w = _window(np.random.default_rng(seed).standard_normal(150))
-        _, condition = _reference_solve_amplitudes(w, roots)
+        *_, condition = _reference_solve_amplitudes(w, roots)
         # the smallest singular value is only known to about eps * condition
         # relative; keep that far below the third printed digit
         assume(condition < 1e10)
@@ -520,8 +527,12 @@ class TestDiagnostics:
         lam2 = 0.99 + 1e-14
         w = make_window(0.99 ** np.arange(300))
         with caplog.at_level(logging.WARNING, logger="lfodetect.prony"):
-            solve_amplitudes(w, [lam1 + 0j, lam2 + 0j])
+            modes = solve_amplitudes(w, [lam1 + 0j, lam2 + 0j])
         assert any("ill-conditioned" in rec.message for rec in caplog.records)
+        # the result is still returned: two real modes at frequency 0
+        for _, sigma, freq, _ in modes:
+            assert sigma == pytest.approx(math.log(0.99) / 0.04, rel=1e-9)
+            assert freq == 0.0
 
     def test_zero_root_warning_logged(self, monkeypatch, caplog):
         # a trailing zero coefficient gives an exact zero root, which

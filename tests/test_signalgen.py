@@ -147,12 +147,14 @@ class TestInvalidSpecs:
 
     @pytest.mark.parametrize(
         "tone, snr_db, first",
-        [(ToneSpec(1.0, 0.5, damping=50.0), None, 355), (ToneSpec(1e308, 0.5), 40.0, 0)],
-        ids=["tone-overflows", "noise-overflows"],
+        [(ToneSpec(1.0, 0.5, damping=50.0), None, 355), (ToneSpec(1e308, 0.5), 40.0, 0),
+         (ToneSpec(1.0, 0.5), -4000.0, 0)],
+        ids=["tone-overflows", "noise-overflows", "snr-ratio-underflows"],
     )
     def test_non_finite_sample_refused(self, tone, snr_db, first):
         # e**(50 t) passes float range at t = 14.2 s; a 1e308 tone's power
-        # overflows, and so does the noise scaled from it
+        # overflows, and so does the noise scaled from it; at -4000 dB the
+        # power ratio underflows to 0 and the noise is unbounded
         spec = SynthSpec(tones=(tone,), dt=0.04, count=626, noise_snr_db=snr_db)
         with pytest.raises(InvalidSpec, match=rf"^synthesised sample {first} is not finite"):
             generate(spec)
