@@ -21,7 +21,6 @@ from .core import (
     Severity,
     SpectrumPeak,
     ValidationError,
-    validate_window,
     wrap_angle,
 )
 from .detector import DetectionReport, classify, detect, match_modes
@@ -91,7 +90,6 @@ __all__ = [
     "prony_analyze",
     "read_archive",
     "solve_amplitudes",
-    "validate_window",
     "wrap_angle",
     "write_archive",
 ]

@@ -1,4 +1,4 @@
-"""Shared domain types, configuration, and validation.
+"""Shared domain types and configuration.
 
 Everything here is an immutable value object: windows, estimated modes,
 spectral peaks, alarms, and the tuning configuration shared by the whole
@@ -7,6 +7,7 @@ analysis pipeline.
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 from dataclasses import dataclass
@@ -104,7 +105,15 @@ def _window_samples(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SampleWindow:
-    """A uniformly sampled scalar channel segment.
+    """A uniformly sampled scalar channel segment, valid by construction.
+
+    Building one (the constructor or `dataclasses.replace`) raises
+    `ValidationError` unless all four hold, checked in this order:
+    `samples` is one-dimensional; `dt` is positive and finite; there are
+    at least MIN_WINDOW_SAMPLES samples; every sample is finite (the
+    message names the first that is not). `replace_samples` alone keeps
+    non-finite samples, and every analysis stage refuses such a window
+    through `require_finite`, which reads what the build found.
 
     Attributes:
         station_id: opaque identifier of the reporting substation.
@@ -129,8 +138,30 @@ class SampleWindow:
     dt: float
     samples: np.ndarray
 
+    #: Index of the first non-finite sample, which only `replace_samples` keeps.
+    _missing = None
+
     def __post_init__(self):
         object.__setattr__(self, "samples", _window_samples(self.samples))
+        self._check()
+        self.require_finite()
+
+    def _check(self) -> None:
+        """Check shape, `dt` and length, in that order; note `_missing`."""
+        if self.samples.ndim != 1:
+            raise ValidationError(f"samples must be one-dimensional, got shape {self.samples.shape}")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValidationError(f"sample interval must be a positive finite number, got {self.dt}")
+        if self.count < MIN_WINDOW_SAMPLES:
+            raise ValidationError(f"window has {self.count} samples, need at least {MIN_WINDOW_SAMPLES}")
+        finite = np.isfinite(self.samples)
+        object.__setattr__(self, "_missing", None if finite.all() else int(np.flatnonzero(~finite)[0]))
+
+    def require_finite(self) -> None:
+        """Raise ValidationError naming the first non-finite sample, without
+        scanning the samples again."""
+        if self._missing is not None:
+            raise ValidationError(f"sample {self._missing} is not finite")
 
     @property
     def count(self) -> int:
@@ -147,26 +178,13 @@ class SampleWindow:
         return np.arange(self.count) * self.dt
 
     def replace_samples(self, samples) -> "SampleWindow":
-        """New window with the same identity/grid but different samples."""
-        return SampleWindow(self.station_id, self.channel, self.t0_ms, self.dt, samples)
-
-
-def validate_window(w: SampleWindow) -> SampleWindow:
-    """Check all SampleWindow invariants; return the window unchanged.
-
-    Raises:
-        ValidationError: dt is not a positive finite number, the window
-            holds fewer than MIN_WINDOW_SAMPLES samples, or a sample is not
-            finite (the message names the first such index).
-    """
-    if not (w.dt > 0 and math.isfinite(w.dt)):
-        raise ValidationError(f"sample interval must be a positive finite number, got {w.dt}")
-    if w.count < MIN_WINDOW_SAMPLES:
-        raise ValidationError(f"window has {w.count} samples, need at least {MIN_WINDOW_SAMPLES}")
-    finite = np.isfinite(w.samples)
-    if not finite.all():
-        raise ValidationError(f"sample {int(np.flatnonzero(~finite)[0])} is not finite")
-    return w
+        """New window with the same identity and grid, holding `samples`.
+        Unlike `dataclasses.replace` it keeps non-finite samples, which mark
+        missing values for `write_archive`; no stage analyses that window."""
+        w = copy.copy(self)
+        object.__setattr__(w, "samples", _window_samples(samples))
+        w._check()
+        return w
 
 
 @dataclass(frozen=True)

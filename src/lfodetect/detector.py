@@ -19,7 +19,7 @@ Which spectral peaks take part is the peak picker's own rule
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import emd, prony, spectrum
 from .core import (
@@ -126,8 +126,8 @@ def _stable_modes(bp: SampleWindow, modes):
     if half < _MIN_STABILITY_HALF:
         return modes
     try:
-        first = prony.prony_analyze(bp.replace_samples(bp.samples[:half]))
-        second = prony.prony_analyze(bp.replace_samples(bp.samples[half:]))
+        first = prony.prony_analyze(replace(bp, samples=bp.samples[:half]))
+        second = prony.prony_analyze(replace(bp, samples=bp.samples[half:]))
     except (prony.InsufficientExcitation, prony.RootSolverDiverged):
         return modes
     # half windows cannot resolve finer than twice the full-window limit
@@ -148,9 +148,6 @@ def detect(w: SampleWindow, cfg: AnalysisConfig | None = None) -> DetectionRepor
 
     An empty band-pass result (nothing inside cfg.emd_band_hz) yields an
     empty report rather than an error.
-
-    Raises:
-        ValidationError: the window breaks a SampleWindow invariant (`emd.decompose` checks).
     """
     cfg = cfg or AnalysisConfig()
     try:

@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import MIN_WINDOW_SAMPLES, AnalysisConfig, EmptyBand, SampleWindow, _readonly, validate_window
+from .core import MIN_WINDOW_SAMPLES, AnalysisConfig, EmptyBand, SampleWindow, _readonly
 
 #: Hard cap on extracted IMFs; log2 of typical window lengths bounds the
 #: number of meaningful dyadic scales.
@@ -291,7 +291,7 @@ def decompose(w: SampleWindow) -> ImfSet:
     Deterministic; degenerate inputs (no interior extrema) yield zero IMFs
     and residue equal to the input.
     """
-    validate_window(w)
+    w.require_finite()
     residue = np.array(w.samples, dtype=float)
     dust = _DUST_FRACTION * float(np.max(np.abs(residue))) if residue.size else 0.0
     imfs: list[Imf] = []
@@ -331,7 +331,7 @@ def select_band(
     total = imf_set.imfs[keep[0]].samples.copy()
     for i in keep[1:]:
         total += imf_set.imfs[i].samples
-    return keep, w.replace_samples(total)
+    return keep, replace(w, samples=total)
 
 
 def bandpass(w: SampleWindow, cfg: AnalysisConfig | None = None) -> SampleWindow:

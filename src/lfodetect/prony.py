@@ -39,7 +39,6 @@ from .core import (
     PronyMode,
     SampleWindow,
     mode_matrix,
-    validate_window,
     wrap_angle,
 )
 
@@ -96,11 +95,10 @@ def fit_lpm(w: SampleWindow, order: int) -> np.ndarray:
     y[m] = a_1*y[m-1] + ... + a_N*y[m-N] over m = N..count-1.
 
     Raises:
-        ValidationError: the window breaks a SampleWindow invariant.
         ValueError: order < 1 or count < 3 * order.
         InsufficientExcitation: design matrix has rank zero.
     """
-    validate_window(w)
+    w.require_finite()
     y = w.samples
     count = y.size
     check_order(count, order)
@@ -189,14 +187,13 @@ def solve_amplitudes(w: SampleWindow, roots) -> list[tuple[float, float, float, 
     real samples, the same minimum-norm solution; a pair's weight on z^k is
     B = (p - iq)/sqrt(2) for basis weights p, q.
 
-    The window must pass validate_window (ValidationError otherwise), and
-    the root list must be conjugate-closed and free of zero roots
+    The root list must be conjugate-closed and free of zero roots
     (ValueError otherwise). Conjugate pairs collapse to one mode with
     frequency >= 0, amplitude 2|B| and phase arg(B); real roots yield |B|
     with phase 0 or pi. A condition estimate above 1e12 is logged as a
     warning; the result is still returned.
     """
-    validate_window(w)
+    w.require_finite()
     reps = _group_roots(roots)
     if not reps.size:
         return []
@@ -232,7 +229,6 @@ def prony_analyze(w: SampleWindow, order: int | None = None) -> PronyFit:
     reconstruction error.
 
     Raises:
-        ValidationError: the window breaks a SampleWindow invariant (`fit_lpm` checks).
         ValueError: order < 1 or above max_order(count).
     """
     y = w.samples

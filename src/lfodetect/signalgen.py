@@ -105,7 +105,10 @@ def generate(
         power = float(np.mean(samples**2))
         if power <= 0.0:
             raise InvalidSpec("noise_snr_db needs a nonzero tone sum; use noise_sigma instead")
-        ratio = 10.0 ** (spec.noise_snr_db / 10.0)
+        try:
+            ratio = 10.0 ** (spec.noise_snr_db / 10.0)
+        except OverflowError:  # past about 3083 dB: as noiseless as inf
+            ratio = math.inf
         # a ratio that underflows to 0 means unbounded noise, refused below
         sigma = float(np.sqrt(power / ratio)) if ratio > 0.0 else math.inf
     elif spec.noise_sigma is not None:

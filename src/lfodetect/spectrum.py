@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SampleWindow, SpectrumPeak, _readonly, validate_window, wrap_angle
+from .core import SampleWindow, SpectrumPeak, _readonly, wrap_angle
 
 
 class WindowFunction(str, enum.Enum):
@@ -69,7 +69,7 @@ def dft(w: SampleWindow, window_fn: WindowFunction = WindowFunction.Rectangular)
     Hann tapering is compensated by the taper's coherent gain (scale by
     M / sum(taper)), so a pure in-bin tone keeps |Y(k)| = A/2 either way.
     """
-    validate_window(w)
+    w.require_finite()
     y = w.samples
     count = y.size
     if window_fn is WindowFunction.Hann:

@@ -51,7 +51,6 @@ PUBLIC_NAMES = [
     "prony_analyze",
     "read_archive",
     "solve_amplitudes",
-    "validate_window",
     "wrap_angle",
     "write_archive",
 ]

@@ -84,6 +84,12 @@ class TestSynth:
         assert run("synth", "--tone", "0.1,0.52", "--snr-db", "inf", "-o", inf) == 0
         assert inf.read_bytes() == clean.read_bytes()
 
+    def test_snr_past_float_range_is_noiseless(self, tmp_path):
+        high, inf = tmp_path / "high.csv", tmp_path / "inf.csv"
+        assert run("synth", "--tone", "1,0.5", "--snr-db", "4000", "-o", high) == 0
+        assert run("synth", "--tone", "1,0.5", "--snr-db", "inf", "-o", inf) == 0
+        assert high.read_bytes() == inf.read_bytes()
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--dt", "0"), ("--dt", "nan"), ("--dt", "-0.04"), ("--seconds", "nan"), ("--seconds", "inf"),

@@ -4,8 +4,9 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import lfodetect as lf
 from lfodetect import (
@@ -16,49 +17,117 @@ from lfodetect import (
     PronyMode,
     SampleWindow,
     ValidationError,
-    validate_window,
     wrap_angle,
 )
 
 
-class TestValidateWindow:
-    def test_accepts_standard_window(self, make_window):
-        w = make_window(np.sin(np.arange(625) * 0.1), dt=0.04)
-        assert validate_window(w) is w
-
-    def test_too_short(self, make_window):
-        with pytest.raises(ValidationError, match=r"^window has 3 samples, need at least 4$"):
-            validate_window(make_window([1.0, 2.0, 3.0]))
-
-    def test_non_finite_reports_first_index(self, make_window):
-        samples = np.ones(20)
-        samples[7] = np.nan
-        samples[12] = np.inf
-        with pytest.raises(ValidationError, match=r"^sample 7 is not finite$"):
-            validate_window(make_window(samples))
-
-    def test_inf_rejected(self, make_window):
-        samples = np.ones(20)
-        samples[3] = np.inf
-        with pytest.raises(ValidationError, match=r"^sample 3 is not finite$"):
-            validate_window(make_window(samples))
-
-    @pytest.mark.parametrize("dt", [0.0, -0.04, math.nan, math.inf])
-    def test_bad_dt(self, make_window, dt):
-        message = f"sample interval must be a positive finite number, got {dt}"
-        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            validate_window(make_window(np.ones(10), dt=dt))
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=200))
-    def test_any_finite_window_accepted(self, samples):
-        w = SampleWindow("s", Channel.Frequency_Hz, 0, 0.04, np.array(samples))
-        assert validate_window(w) is w
+#: A window every bad variant below is built from by `dataclasses.replace`.
+_VALID = SampleWindow("s", Channel.Frequency_Hz, 0, 0.04, np.ones(20))
 
 
 def _nan_at_7():
     samples = np.ones(20)
     samples[7] = np.nan
     return samples
+
+
+def _refused(message, samples, dt=0.04):
+    """Assert that the constructor and `dataclasses.replace` each refuse a
+    window of `samples` and `dt` with `message`."""
+    pattern = f"^{re.escape(message)}$"
+    with pytest.raises(ValidationError, match=pattern):
+        SampleWindow("s", Channel.Frequency_Hz, 0, dt, samples)
+    with pytest.raises(ValidationError, match=pattern):
+        dataclasses.replace(_VALID, dt=dt, samples=samples)
+
+
+class TestValidateWindow:
+    """A window checks its invariant when it is built, so every way of
+    building one refuses a bad one."""
+
+    def test_accepts_standard_window(self, make_window):
+        samples = np.sin(np.arange(625) * 0.1)
+        w = make_window(samples, dt=0.04)
+        assert (w.count, w.dt) == (625, 0.04) and np.array_equal(w.samples, samples)
+        assert dataclasses.replace(w, samples=samples[:4]).count == 4
+        assert w.replace_samples(samples[:4]).count == 4
+
+    def test_too_short(self):
+        _refused("window has 3 samples, need at least 4", [1.0, 2.0, 3.0])
+        with pytest.raises(ValidationError, match=r"^window has 3 samples, need at least 4$"):
+            _VALID.replace_samples([1.0, 2.0, 3.0])
+
+    def test_non_finite_reports_first_index(self):
+        samples = np.ones(20)
+        samples[7] = np.nan
+        samples[12] = np.inf
+        _refused("sample 7 is not finite", samples)
+
+    def test_inf_rejected(self):
+        samples = np.ones(20)
+        samples[3] = -np.inf
+        _refused("sample 3 is not finite", samples)
+        samples[3] = np.inf
+        _refused("sample 3 is not finite", samples)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.04, math.nan, math.inf])
+    def test_bad_dt(self, dt):
+        _refused(f"sample interval must be a positive finite number, got {dt}", np.ones(10), dt=dt)
+
+    def test_two_dimensional_samples_rejected(self):
+        # the shape is checked first, before dt
+        _refused("samples must be one-dimensional, got shape (626, 2)", np.ones((626, 2)), dt=0.0)
+        with pytest.raises(ValidationError, match=re.escape("got shape (626, 2)")):
+            _VALID.replace_samples(np.ones((626, 2)))
+
+    def test_zero_dimensional_samples_rejected(self):
+        _refused("samples must be one-dimensional, got shape ()", np.float64(1.0))
+        with pytest.raises(ValidationError, match=re.escape("got shape ()")):
+            _VALID.replace_samples(1.0)
+
+    def test_replace_samples_keeps_missing_values(self):
+        # NaN marks a missing sample for write_archive, which writes it as
+        # a record that ingest reads as missing; analysis refuses it
+        w = _VALID.replace_samples(_nan_at_7())
+        assert np.isnan(w.samples[7]) and not w.samples.flags.writeable
+        with pytest.raises(ValidationError, match=r"^sample 7 is not finite$"):
+            w.require_finite()
+        w.replace_samples(np.ones(20)).require_finite()
+
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=200))
+    def test_any_finite_window_accepted(self, samples):
+        w = SampleWindow("s", Channel.Frequency_Hz, 0, 0.04, np.array(samples))
+        assert np.array_equal(w.samples, samples)
+        assert np.array_equal(dataclasses.replace(_VALID, samples=samples).samples, samples)
+
+    @settings(max_examples=400)
+    @given(
+        hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=8),
+                   elements=st.floats(allow_nan=True, allow_infinity=True)),
+        st.sampled_from([0.0, -0.04, math.nan, math.inf, -math.inf]) | st.floats(1e-300, 1e300),
+    )
+    def test_built_window_holds_the_invariant(self, samples, dt):
+        for build in (lambda: SampleWindow("s", Channel.Frequency_Hz, 0, dt, samples),
+                      lambda: dataclasses.replace(_VALID, dt=dt, samples=samples)):
+            try:
+                w = build()
+            except ValidationError:
+                continue
+            assert w.samples.ndim == 1 and not w.samples.flags.writeable
+            assert w.count >= 4 and np.all(np.isfinite(w.samples))
+            assert w.dt > 0 and math.isfinite(w.dt)
+        # replace_samples may keep non-finite samples, and then only them
+        try:
+            w = dataclasses.replace(_VALID, dt=dt).replace_samples(samples)
+        except ValidationError:
+            return
+        assert w.samples.ndim == 1 and not w.samples.flags.writeable and w.count >= 4
+        finite = np.isfinite(w.samples)
+        if finite.all():
+            w.require_finite()
+        else:
+            with pytest.raises(ValidationError, match=f"^sample {np.flatnonzero(~finite)[0]} is not finite$"):
+                w.require_finite()
 
 
 #: Every public stage that takes a window, called the way its callers call it.
@@ -79,9 +148,12 @@ _STAGES = {
     (0.04, np.ones(3), "window has 3 samples, need at least 4"),
     (0.04, _nan_at_7(), "sample 7 is not finite"),
 ], ids=["dt-0", "3-samples", "nan-at-7"])
-def test_every_stage_checks_its_window(make_window, stage, dt, samples, message):
+def test_every_stage_checks_its_window(stage, dt, samples, message):
+    """No stage runs on a bad window. A bad grid is refused where the
+    window is built; a missing sample, which only `replace_samples` keeps,
+    is refused by the stage from what the build found."""
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        _STAGES[stage](make_window(samples, dt=dt))
+        _STAGES[stage](SampleWindow("s", Channel.Frequency_Hz, 0, dt, np.ones(20)).replace_samples(samples))
 
 
 class TestSampleWindow:

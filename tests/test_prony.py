@@ -237,6 +237,8 @@ class TestRootsToModes:
         assert freq == pytest.approx(12.5, abs=1e-9)
         assert sigma == pytest.approx(0.0, abs=1e-9)
 
+    # a bad dt is refused when the window is built, so solve_amplitudes
+    # is never handed one
     @pytest.mark.parametrize(
         "roots, dt, error",
         [

@@ -106,6 +106,13 @@ def test_different_seeds_differ():
     assert not np.array_equal(np.asarray(w1.samples), np.asarray(w2.samples))
 
 
+def test_snr_past_float_range_is_noiseless():
+    # 10**(4000 / 10) overflows a float; the ratio counts as infinite
+    base = dict(tones=(ToneSpec(1.0, 0.5),), dt=0.04, count=626, rng_seed=3)
+    high = generate(SynthSpec(noise_snr_db=4000.0, **base)).samples
+    assert high.tobytes() == generate(SynthSpec(noise_snr_db=math.inf, **base)).samples.tobytes()
+
+
 @pytest.mark.parametrize("snr_db", [20.0, 40.0])
 def test_empirical_snr_within_half_db(snr_db):
     tones = (ToneSpec(1.0, 0.7), ToneSpec(0.4, 1.4, damping=-0.1))
