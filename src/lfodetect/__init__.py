@@ -20,16 +20,13 @@ from .core import (
     SampleWindow,
     Severity,
     SpectrumPeak,
-    ValidationError,
     wrap_angle,
 )
 from .detector import DetectionReport, classify, detect, match_modes
 from .emd import Imf, ImfSet, bandpass, decompose
 from .ingest import (
     ArchiveRecord,
-    DtMismatch,
     ParseReport,
-    SchemaMismatch,
     WindowingPolicy,
     make_windows,
     read_archive,
@@ -55,7 +52,6 @@ __all__ = [
     "ArchiveRecord",
     "Channel",
     "DetectionReport",
-    "DtMismatch",
     "EmptyBand",
     "Imf",
     "ImfSet",
@@ -67,13 +63,11 @@ __all__ = [
     "PronyMode",
     "RootSolverDiverged",
     "SampleWindow",
-    "SchemaMismatch",
     "Severity",
     "Spectrum",
     "SpectrumPeak",
     "SynthSpec",
     "ToneSpec",
-    "ValidationError",
     "WindowFunction",
     "WindowingPolicy",
     "bandpass",

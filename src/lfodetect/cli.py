@@ -24,9 +24,7 @@ from . import __version__, detector, emd, prony, signalgen, spectrum
 from .core import AnalysisConfig, EmptyBand, Severity
 from .ingest import (
     MAX_GAP_FRACTION,
-    DtMismatch,
     ParseReport,
-    SchemaMismatch,
     WindowingPolicy,
     _atomic_write,
     make_windows,
@@ -43,18 +41,16 @@ EXIT_CRITICAL = 3
 _POLICY_KEYS = ("window_seconds", "stride_seconds", "expected_dt")
 
 
-class InvalidSetting(ValueError):
-    """A flag value out of range."""
-
-
 class AnalysisFailure(RuntimeError):
     """An analysis error with the window identity attached."""
 
 
-#: What can reach `main`: an error inside a window's analysis arrives as
-#: an AnalysisFailure, and OSError covers an unreadable input as well as an
-#: output path that cannot be made or written.
-_INPUT_ERRORS = (InvalidSetting, OSError, SchemaMismatch, DtMismatch, signalgen.InvalidSpec, AnalysisFailure)
+#: What can reach `main`. An error inside a window's analysis arrives as
+#: an AnalysisFailure, so a ValueError outside a window can only come from
+#: a flag, the archive's header or record spacing, or synth's spec; OSError
+#: covers an unreadable input as well as an output path that cannot be made
+#: or written.
+_INPUT_ERRORS = (ValueError, OSError, AnalysisFailure)
 
 
 def _sha256(path: Path) -> str:
@@ -159,13 +155,13 @@ def _resolve_settings(args, resolve):
     checked against the policy.
 
     Raises:
-        InvalidSetting: a value is out of range.
+        ValueError: a value is out of range ("invalid setting: ...").
     """
     try:
         policy = WindowingPolicy(**{key: getattr(args, key) for key in _POLICY_KEYS if getattr(args, key) is not None})
         return policy, resolve(args, policy)
     except ValueError as exc:
-        raise InvalidSetting(f"invalid setting: {exc}") from exc
+        raise ValueError(f"invalid setting: {exc}") from exc
 
 
 #: What artifact file names percent-encode in a station id, as the
@@ -235,13 +231,13 @@ def _run(args, command: str, policy, config: dict, analyse, finish=None) -> None
 def cmd_synth(args) -> int:
     tones = tuple(args.tone or ())
     if not tones and args.noise_sigma is None:
-        raise InvalidSetting("give at least one --tone (or --noise-sigma for a noise-only archive)")
+        raise ValueError("give at least one --tone (or --noise-sigma for a noise-only archive)")
     for flag, value in (("--dt", args.dt), ("--seconds", args.seconds)):
         if not (math.isfinite(value) and value > 0):
-            raise InvalidSetting(f"invalid setting: {flag} must be positive and finite, got {value}")
+            raise ValueError(f"invalid setting: {flag} must be positive and finite, got {value}")
     ratio = args.seconds / args.dt
     if not math.isfinite(ratio):
-        raise InvalidSetting(
+        raise ValueError(
             f"invalid setting: --seconds / --dt must be finite, got {args.seconds} / {args.dt}"
         )
     count = int(round(ratio))
@@ -260,7 +256,7 @@ def cmd_synth(args) -> int:
         raise
     except (MemoryError, ValueError) as exc:
         # numpy refuses the sample array: out of memory, or past its size limit
-        raise InvalidSetting(
+        raise ValueError(
             f"invalid setting: --seconds / --dt gives {ratio:.3g} samples, too many to hold in memory"
         ) from exc
     args.output.parent.mkdir(parents=True, exist_ok=True)

@@ -60,10 +60,6 @@ class Severity(str, enum.Enum):
     Critical = "Critical"
 
 
-class ValidationError(ValueError):
-    """A sample window violates one of its structural invariants."""
-
-
 class EmptyBand(Exception):
     """No component falls inside the requested frequency band."""
 
@@ -108,7 +104,7 @@ class SampleWindow:
     """A uniformly sampled scalar channel segment, valid by construction.
 
     Building one (the constructor or `dataclasses.replace`) raises
-    `ValidationError` unless all four hold, checked in this order:
+    `ValueError` unless all four hold, checked in this order:
     `samples` is one-dimensional; `dt` is positive and finite; there are
     at least MIN_WINDOW_SAMPLES samples; every sample is finite (the
     message names the first that is not). `replace_samples` alone keeps
@@ -149,19 +145,19 @@ class SampleWindow:
     def _check(self) -> None:
         """Check shape, `dt` and length, in that order; note `_missing`."""
         if self.samples.ndim != 1:
-            raise ValidationError(f"samples must be one-dimensional, got shape {self.samples.shape}")
+            raise ValueError(f"samples must be one-dimensional, got shape {self.samples.shape}")
         if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValidationError(f"sample interval must be a positive finite number, got {self.dt}")
+            raise ValueError(f"sample interval must be a positive finite number, got {self.dt}")
         if self.count < MIN_WINDOW_SAMPLES:
-            raise ValidationError(f"window has {self.count} samples, need at least {MIN_WINDOW_SAMPLES}")
+            raise ValueError(f"window has {self.count} samples, need at least {MIN_WINDOW_SAMPLES}")
         finite = np.isfinite(self.samples)
         object.__setattr__(self, "_missing", None if finite.all() else int(np.flatnonzero(~finite)[0]))
 
     def require_finite(self) -> None:
-        """Raise ValidationError naming the first non-finite sample, without
+        """Raise ValueError naming the first non-finite sample, without
         scanning the samples again."""
         if self._missing is not None:
-            raise ValidationError(f"sample {self._missing} is not finite")
+            raise ValueError(f"sample {self._missing} is not finite")
 
     @property
     def count(self) -> int:
@@ -206,9 +202,9 @@ class PronyMode:
     energy_fraction: float = 0.0
 
     def __post_init__(self):
-        if self.amplitude < 0:
+        if not self.amplitude >= 0:
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
-        if self.frequency < 0:
+        if not self.frequency >= 0:
             raise ValueError(f"frequency must be >= 0, got {self.frequency}")
         if not (-math.pi < self.phase <= math.pi):
             raise ValueError(f"phase must lie in (-pi, pi], got {self.phase}")
@@ -246,9 +242,9 @@ class SpectrumPeak:
     phase: float
 
     def __post_init__(self):
-        if self.frequency < 0:
+        if not self.frequency >= 0:
             raise ValueError(f"frequency must be >= 0, got {self.frequency}")
-        if self.magnitude < 0:
+        if not self.magnitude >= 0:
             raise ValueError(f"magnitude must be >= 0, got {self.magnitude}")
 
 

@@ -60,7 +60,7 @@ class DetectionReport:
 def classify(frequency_hz: float) -> frozenset[ModeClass]:
     """Every declared band containing the frequency; empty for gap regions
     (below 0.1 Hz and on (8, 10] Hz)."""
-    if frequency_hz < 0:
+    if not frequency_hz >= 0:
         raise ValueError(f"frequency must be >= 0, got {frequency_hz}")
     out = set()
     for mode_class, (lo, hi, lo_inc, hi_inc) in MODE_BANDS.items():

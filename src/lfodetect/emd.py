@@ -72,7 +72,7 @@ class Imf:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", _readonly(self.samples))
-        if self.mean_frequency_hz < 0:
+        if not self.mean_frequency_hz >= 0:
             raise ValueError("mean_frequency_hz must be >= 0")
 
 

@@ -6,6 +6,9 @@ the decimal separator, LF or CRLF line endings. One UTF-8 byte-order mark
 before the header is dropped; a U+FEFF anywhere else is data. A data line
 that is not valid UTF-8, or whose timestamp is not an integer that fits in
 int64, is skipped and noted like any malformed line.
+A header other than that one, or one that is not valid UTF-8, raises
+ValueError, as does a stream whose median record spacing is more than 10%
+off the expected sample interval.
 Windowing is timestamp-driven: records are snapped onto the expected
 sample grid, so permuting the input order never changes the emitted
 windows.
@@ -48,14 +51,6 @@ MAX_GAP_FRACTION = 0.01
 _TIMESTAMP_MIN, _TIMESTAMP_MAX = -(2**63), 2**63 - 1
 
 _CHANNELS = {c.value: c for c in Channel}
-
-
-class SchemaMismatch(ValueError):
-    """Archive header line does not match the expected schema."""
-
-
-class DtMismatch(ValueError):
-    """Median record spacing disagrees with the configured sample interval."""
 
 
 class ArchiveRecord(NamedTuple):
@@ -125,7 +120,8 @@ def read_archive(path, report: ParseReport | None = None) -> Iterator[ArchiveRec
 
     Raises:
         OSError: file cannot be opened.
-        SchemaMismatch: header line is wrong or not valid UTF-8.
+        ValueError: header line is wrong ("expected header ..., got ...")
+            or not valid UTF-8 ("archive header is not valid UTF-8").
     """
     path = Path(path)
     report = ParseReport() if report is None else report
@@ -138,8 +134,8 @@ def read_archive(path, report: ParseReport | None = None) -> Iterator[ArchiveRec
     if header != ARCHIVE_HEADER:
         handle.close()
         if _UNDECODABLE.search(header):
-            raise SchemaMismatch("archive header is not valid UTF-8")
-        raise SchemaMismatch(f"expected header {ARCHIVE_HEADER!r}, got {header!r}")
+            raise ValueError("archive header is not valid UTF-8")
+        raise ValueError(f"expected header {ARCHIVE_HEADER!r}, got {header!r}")
 
     def records() -> Iterator[ArchiveRecord]:
         channels, isfinite, new, note = _CHANNELS, math.isfinite, tuple.__new__, report.note
@@ -227,9 +223,9 @@ def make_windows(
         ValueError: a record's timestamp_ms is an int outside int64, or its
             value an int past float range; the message names the stream,
             the field and the value (an int too long to print by its
-            digit count).
-        DtMismatch: a stream's median spacing deviates from expected_dt by
-            more than 10%.
+            digit count). Or a stream's median spacing deviates from
+            expected_dt by more than 10% ("stream S/C: median spacing ...
+            deviates from expected ... by more than 10%").
     """
     policy = policy or WindowingPolicy()
     streams = _typed_streams(records)
@@ -386,7 +382,7 @@ def _filled_slots(
     length are alive at once.
 
     Raises:
-        DtMismatch: the median spacing deviates from dt_ms by more than 10%.
+        ValueError: the median spacing deviates from dt_ms by more than 10%.
     """
     vals = np.frombuffer(buffers.pop(), dtype=float)  # a missing value is NaN
     stamps = np.frombuffer(buffers.pop(), dtype=np.int64)
@@ -411,7 +407,7 @@ def _filled_slots(
     ts = stamps.astype(float)
     spacing = _median(np.diff(ts))
     if abs(spacing - dt_ms) > 0.1 * dt_ms:
-        raise DtMismatch(
+        raise ValueError(
             f"stream {station}/{channel.value}: median spacing {spacing:.3f} ms "
             f"deviates from expected {dt_ms:.3f} ms by more than 10%"
         )
@@ -480,15 +476,24 @@ def write_archive(path, windows: Iterable[SampleWindow]) -> None:
 
     Values are formatted with 17 significant digits so a read-back
     reproduces them bit for bit.
+
+    Raises:
+        ValueError: a station id holds a comma or a line break, or leading
+            or trailing whitespace, so `read_archive` would not read it
+            back; no file is written and an old one at `path` stays.
     """
 
     def lines() -> Iterator[str]:
         yield ARCHIVE_HEADER + "\n"
         for w in windows:
+            station = w.station_id
+            if station != station.strip() or any(c in station for c in ",\r\n"):
+                raise ValueError(f"station id {station!r} would not read back: it holds a comma, "
+                                 "a line break or leading or trailing whitespace")
             base = w.t0_ms
             dt_ms = w.dt * 1000.0
             for m, value in enumerate(w.samples):
                 ts = base + int(round(m * dt_ms))
-                yield f"{ts},{w.station_id},{w.channel.value},{value:.17g}\n"
+                yield f"{ts},{station},{w.channel.value},{value:.17g}\n"
 
     _atomic_write(Path(path), lines())

@@ -35,9 +35,9 @@ class ToneSpec:
     damping: float = 0.0
 
     def __post_init__(self):
-        if self.amplitude < 0:
+        if not self.amplitude >= 0:
             raise InvalidSpec(f"amplitude must be >= 0, got {self.amplitude}")
-        if self.frequency < 0:
+        if not self.frequency >= 0:
             raise InvalidSpec(f"frequency must be >= 0, got {self.frequency}")
 
 

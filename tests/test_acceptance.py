@@ -5,6 +5,7 @@ prints a single PASS/FAIL line. Run with `pytest tests/test_acceptance.py -v -s`
 to see the lines as they complete.
 """
 
+import dataclasses
 import functools
 import json
 import math
@@ -215,7 +216,7 @@ def test_ac7_equivariances():
         # amplitude scaling
         scale = float(rng.uniform(0.1, 10.0))
         fit = lf.prony_analyze(window)
-        fit_scaled = lf.prony_analyze(window.replace_samples(np.asarray(window.samples) * scale))
+        fit_scaled = lf.prony_analyze(dataclasses.replace(window, samples=np.asarray(window.samples) * scale))
         assert len(fit.modes) == len(fit_scaled.modes)
         for mode in fit.modes:
             other = min(fit_scaled.modes, key=lambda m: abs(m.frequency - mode.frequency))
@@ -225,7 +226,7 @@ def test_ac7_equivariances():
             assert abs(lf.wrap_angle(other.phase - mode.phase)) <= 1e-9
         # time shift
         shift = int(rng.integers(1, 60))
-        fit_shifted = lf.prony_analyze(window.replace_samples(np.asarray(window.samples)[shift:]))
+        fit_shifted = lf.prony_analyze(dataclasses.replace(window, samples=np.asarray(window.samples)[shift:]))
         for mode in fit.modes:
             other = min(fit_shifted.modes, key=lambda m: abs(m.frequency - mode.frequency))
             assert abs(other.damping - mode.damping) <= 1e-6

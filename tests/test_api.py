@@ -16,7 +16,6 @@ PUBLIC_NAMES = [
     "ArchiveRecord",
     "Channel",
     "DetectionReport",
-    "DtMismatch",
     "EmptyBand",
     "Imf",
     "ImfSet",
@@ -28,13 +27,11 @@ PUBLIC_NAMES = [
     "PronyMode",
     "RootSolverDiverged",
     "SampleWindow",
-    "SchemaMismatch",
     "Severity",
     "Spectrum",
     "SpectrumPeak",
     "SynthSpec",
     "ToneSpec",
-    "ValidationError",
     "WindowFunction",
     "WindowingPolicy",
     "bandpass",
@@ -59,6 +56,14 @@ PUBLIC_NAMES = [
 def test_public_names():
     assert lfodetect.__all__ == PUBLIC_NAMES
     assert all(hasattr(lfodetect, name) for name in PUBLIC_NAMES)
+
+
+def test_public_exceptions_are_the_ones_the_package_catches():
+    # a class is kept only where the package catches it by name; every
+    # other error is a ValueError, OSError or TypeError with its message
+    public = (getattr(lfodetect, name) for name in lfodetect.__all__)
+    errors = sorted(c.__name__ for c in public if isinstance(c, type) and issubclass(c, BaseException))
+    assert errors == ["EmptyBand", "InsufficientExcitation", "InvalidSpec", "RootSolverDiverged"]
 
 
 def test_detection_report_holds_what_detect_found():

@@ -60,8 +60,9 @@ class TestSynth:
 
     @pytest.mark.parametrize(
         "tone, message",
-        [("a,b", "bad tone 'a,b'"), ("-1,0.5", "amplitude must be >= 0, got -1.0")],
-        ids=["not-a-number", "negative-amplitude"],
+        [("a,b", "bad tone 'a,b'"), ("-1,0.5", "amplitude must be >= 0, got -1.0"),
+         ("nan,0.5", "amplitude must be >= 0, got nan")],
+        ids=["not-a-number", "negative-amplitude", "nan-amplitude"],
     )
     def test_bad_tone_value_is_usage_error(self, tmp_path, capsys, tone, message):
         out = tmp_path / "a.csv"
@@ -663,11 +664,15 @@ class TestExitCodeContract:
              "noise_sigma must be >= 0, got nan"),
             (["synth", "--tone", "0.1,0.52", "--snr-db", "nan", "-o", "{tmp}/s.csv"],
              "noise_snr_db must be a number, got nan"),
+            # an empty file has the wrong header
+            (["detect", "{file}"], "expected header 'timestamp_ms,station_id,channel,value', got ''"),
+            (["detect", "{archive}", "--expected-dt", "0.02"],
+             "stream synthetic/Frequency_Hz: median spacing 40.000 ms deviates from expected 20.000 ms"),
         ],
         ids=["analyze-out-dir-is-file", "detect-out-dir-is-file",
              "spectrum-out-dir-is-file", "out-dir-under-file", "synth-output-under-file", "synth-negative-seed",
              "synth-tone-overflows", "synth-noise-overflows", "synth-snr-ratio-underflows", "synth-nan-noise-sigma",
-             "synth-nan-snr-db"],
+             "synth-nan-snr-db", "wrong-header", "spacing-off-expected-dt"],
     )
     def test_input_error_exits_2_with_one_line(self, tmp_path, capsys, argv, message):
         archive = tmp_path / "a.csv"

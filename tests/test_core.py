@@ -10,15 +10,18 @@ from hypothesis.extra import numpy as hnp
 
 import lfodetect as lf
 from lfodetect import (
+    AlarmEvent,
     AnalysisConfig,
     Channel,
     ModeClass,
     MODE_BANDS,
     PronyMode,
     SampleWindow,
-    ValidationError,
+    Severity,
+    SpectrumPeak,
     wrap_angle,
 )
+from lfodetect.core import _Shared
 
 
 #: A window every bad variant below is built from by `dataclasses.replace`.
@@ -31,13 +34,22 @@ def _nan_at_7():
     return samples
 
 
+#: Every message a window's build or `require_finite` raises, whole.
+_WINDOW_ERROR = re.compile(
+    r"samples must be one-dimensional, got shape \(.*\)"
+    r"|sample interval must be a positive finite number, got .+"
+    r"|window has \d+ samples, need at least 4"
+    r"|sample \d+ is not finite"
+)
+
+
 def _refused(message, samples, dt=0.04):
     """Assert that the constructor and `dataclasses.replace` each refuse a
     window of `samples` and `dt` with `message`."""
     pattern = f"^{re.escape(message)}$"
-    with pytest.raises(ValidationError, match=pattern):
+    with pytest.raises(ValueError, match=pattern):
         SampleWindow("s", Channel.Frequency_Hz, 0, dt, samples)
-    with pytest.raises(ValidationError, match=pattern):
+    with pytest.raises(ValueError, match=pattern):
         dataclasses.replace(_VALID, dt=dt, samples=samples)
 
 
@@ -54,7 +66,7 @@ class TestValidateWindow:
 
     def test_too_short(self):
         _refused("window has 3 samples, need at least 4", [1.0, 2.0, 3.0])
-        with pytest.raises(ValidationError, match=r"^window has 3 samples, need at least 4$"):
+        with pytest.raises(ValueError, match=r"^window has 3 samples, need at least 4$"):
             _VALID.replace_samples([1.0, 2.0, 3.0])
 
     def test_non_finite_reports_first_index(self):
@@ -77,12 +89,12 @@ class TestValidateWindow:
     def test_two_dimensional_samples_rejected(self):
         # the shape is checked first, before dt
         _refused("samples must be one-dimensional, got shape (626, 2)", np.ones((626, 2)), dt=0.0)
-        with pytest.raises(ValidationError, match=re.escape("got shape (626, 2)")):
+        with pytest.raises(ValueError, match=f"^{re.escape('samples must be one-dimensional, got shape (626, 2)')}$"):
             _VALID.replace_samples(np.ones((626, 2)))
 
     def test_zero_dimensional_samples_rejected(self):
         _refused("samples must be one-dimensional, got shape ()", np.float64(1.0))
-        with pytest.raises(ValidationError, match=re.escape("got shape ()")):
+        with pytest.raises(ValueError, match=f"^{re.escape('samples must be one-dimensional, got shape ()')}$"):
             _VALID.replace_samples(1.0)
 
     def test_replace_samples_keeps_missing_values(self):
@@ -90,7 +102,7 @@ class TestValidateWindow:
         # a record that ingest reads as missing; analysis refuses it
         w = _VALID.replace_samples(_nan_at_7())
         assert np.isnan(w.samples[7]) and not w.samples.flags.writeable
-        with pytest.raises(ValidationError, match=r"^sample 7 is not finite$"):
+        with pytest.raises(ValueError, match=r"^sample 7 is not finite$"):
             w.require_finite()
         w.replace_samples(np.ones(20)).require_finite()
 
@@ -111,7 +123,9 @@ class TestValidateWindow:
                       lambda: dataclasses.replace(_VALID, dt=dt, samples=samples)):
             try:
                 w = build()
-            except ValidationError:
+            except ValueError as exc:
+                if not _WINDOW_ERROR.fullmatch(str(exc)):
+                    raise
                 continue
             assert w.samples.ndim == 1 and not w.samples.flags.writeable
             assert w.count >= 4 and np.all(np.isfinite(w.samples))
@@ -119,14 +133,16 @@ class TestValidateWindow:
         # replace_samples may keep non-finite samples, and then only them
         try:
             w = dataclasses.replace(_VALID, dt=dt).replace_samples(samples)
-        except ValidationError:
+        except ValueError as exc:
+            if not _WINDOW_ERROR.fullmatch(str(exc)):
+                raise
             return
         assert w.samples.ndim == 1 and not w.samples.flags.writeable and w.count >= 4
         finite = np.isfinite(w.samples)
         if finite.all():
             w.require_finite()
         else:
-            with pytest.raises(ValidationError, match=f"^sample {np.flatnonzero(~finite)[0]} is not finite$"):
+            with pytest.raises(ValueError, match=f"^sample {np.flatnonzero(~finite)[0]} is not finite$"):
                 w.require_finite()
 
 
@@ -152,7 +168,7 @@ def test_every_stage_checks_its_window(stage, dt, samples, message):
     """No stage runs on a bad window. A bad grid is refused where the
     window is built; a missing sample, which only `replace_samples` keeps,
     is refused by the stage from what the build found."""
-    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         _STAGES[stage](SampleWindow("s", Channel.Frequency_Hz, 0, dt, np.ones(20)).replace_samples(samples))
 
 
@@ -183,6 +199,15 @@ class TestSampleWindow:
         samples[0] = 5.0
         assert w.samples[0] == 0.0
 
+    def test_only_a_frozen_float64_buffer_is_shared(self):
+        # a window holds a shared view without a copy, so the view must
+        # be one that nothing writes to and that needs no conversion
+        writable, single = np.ones(10), np.ones(10, dtype=np.float32)
+        single.flags.writeable = False
+        for view in (writable, single):
+            with pytest.raises(ValueError, match=r"^only a frozen float64 buffer can be shared$"):
+                _Shared(view)
+
     def test_replace_samples_keeps_identity(self, make_window):
         w = make_window(np.ones(10), station="stn", t0_ms=55)
         w2 = w.replace_samples(np.zeros(10))
@@ -209,6 +234,14 @@ class TestPronyMode:
         with pytest.raises(ValueError):
             PronyMode(amplitude=-1.0, damping=0.0, frequency=1.0, phase=0.0)
 
+    @pytest.mark.parametrize("field", ["amplitude", "frequency"])
+    @pytest.mark.parametrize("value", [-1.0, math.nan], ids=["negative", "nan"])
+    def test_rejects_negative_or_nan(self, field, value):
+        # NaN fails `x < 0` as well as `x >= 0`, so only the latter refuses it
+        fields = {"amplitude": 1.0, "damping": 0.0, "frequency": 1.0, "phase": 0.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0, got {value}$"):
+            PronyMode(**fields)
+
     def test_rejects_out_of_range_phase(self):
         with pytest.raises(ValueError):
             PronyMode(amplitude=1.0, damping=0.0, frequency=1.0, phase=4.0)
@@ -216,6 +249,22 @@ class TestPronyMode:
     def test_rejects_bad_energy_fraction(self):
         with pytest.raises(ValueError):
             PronyMode(amplitude=1.0, damping=0.0, frequency=1.0, phase=0.0, energy_fraction=1.5)
+
+
+class TestSpectrumPeak:
+    @pytest.mark.parametrize("field", ["frequency", "magnitude"])
+    @pytest.mark.parametrize("value", [-1.0, math.nan], ids=["negative", "nan"])
+    def test_rejects_negative_or_nan(self, field, value):
+        fields = {"frequency": 0.5, "magnitude": 1.0, "phase": 0.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0, got {value}$"):
+            SpectrumPeak(**fields)
+
+
+def test_alarm_needs_a_class():
+    mode = PronyMode(amplitude=1.0, damping=0.0, frequency=0.5, phase=0.0)
+    with pytest.raises(ValueError, match=r"^alarm class set must be non-empty$"):
+        AlarmEvent("s", Channel.Frequency_Hz, 0, 25.0, 0.5, mode, SpectrumPeak(0.5, 0.5, 0.0),
+                   frozenset(), False, Severity.Info)
 
 
 class TestModeBands:

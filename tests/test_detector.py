@@ -55,6 +55,11 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(-0.1)
 
+    def test_nan_frequency_rejected(self):
+        # NaN lies in no band, so it used to classify to the empty set
+        with pytest.raises(ValueError, match=r"^frequency must be >= 0, got nan$"):
+            classify(float("nan"))
+
     @given(st.floats(0.0, 50.0))
     def test_total_and_consistent(self, freq):
         classes = classify(freq)
@@ -191,7 +196,7 @@ class TestDetect:
 
     def test_scaling_leaves_alarm_shape_unchanged(self):
         w = generate(SynthSpec(tones=(ToneSpec(0.1, 0.52, damping=0.05),), dt=0.04, count=626, noise_snr_db=40, rng_seed=3))
-        scaled = w.replace_samples(np.asarray(w.samples) * 7.0)
+        scaled = dataclasses.replace(w, samples=np.asarray(w.samples) * 7.0)
         r1, r2 = detect(w), detect(scaled)
         assert len(r1.alarms) == len(r2.alarms) == 1
         a1, a2 = r1.alarms[0], r2.alarms[0]

@@ -36,6 +36,10 @@ class TestMeanFrequency:
     def test_constant_signal_is_zero(self):
         assert mean_frequency(np.full(50, 3.3), 0.04) == 0.0
 
+    def test_zero_signal_is_zero(self):
+        # no sample has a sign, so there is no pair of signs to compare
+        assert mean_frequency(np.zeros(50), 0.04) == 0.0
+
     def test_alternating_signal_hits_nyquist(self):
         x = (-1.0) ** np.arange(200)
         assert mean_frequency(x, 0.04) == pytest.approx(12.5)
@@ -54,6 +58,12 @@ class TestMeanFrequency:
         t = np.arange(625) * 0.04
         x = np.cos(2 * np.pi * 0.5 * t) + 0.01 * np.cos(2 * np.pi * 6.0 * t)
         assert mean_frequency(x, 0.04) == pytest.approx(0.5, abs=0.05)
+
+
+@pytest.mark.parametrize("frequency", [-0.5, math.nan], ids=["negative", "nan"])
+def test_imf_refuses_negative_or_nan_frequency(frequency):
+    with pytest.raises(ValueError, match=r"^mean_frequency_hz must be >= 0$"):
+        emd.Imf(np.ones(10), frequency)
 
 
 class TestDecompose:

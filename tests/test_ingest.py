@@ -18,9 +18,7 @@ from hypothesis import strategies as st
 from lfodetect import (
     ArchiveRecord,
     Channel,
-    DtMismatch,
     ParseReport,
-    SchemaMismatch,
     SynthSpec,
     ToneSpec,
     WindowingPolicy,
@@ -32,6 +30,13 @@ from lfodetect import (
 from lfodetect import ingest
 
 HEADER = "timestamp_ms,station_id,channel,value"
+
+#: The whole message `make_windows` raises for a stream's record spacing.
+_SPACING_ERROR = re.compile(r"stream .*: median spacing \d+\.\d{3} ms deviates from expected \d+\.\d{3} ms by more than 10%")
+
+
+def _wrong_header(got):
+    return f"^{re.escape(f'expected header {HEADER!r}, got {got!r}')}$"
 
 
 def _write(path, lines):
@@ -69,7 +74,7 @@ class TestReadArchive:
     def test_wrong_header(self, tmp_path):
         p = tmp_path / "a.csv"
         _write(p, ["time,station,chan,val", "0,s1,Frequency_Hz,1.0"])
-        with pytest.raises(SchemaMismatch):
+        with pytest.raises(ValueError, match=_wrong_header("time,station,chan,val")):
             read_archive(p)
 
     def test_missing_file(self, tmp_path):
@@ -108,7 +113,7 @@ class TestReadArchive:
     def test_undecodable_header_is_schema_mismatch(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_bytes(HEADER.encode() + b"\xff\xfe\n0,s1,Frequency_Hz,1.0\n")
-        with pytest.raises(SchemaMismatch, match="not valid UTF-8"):
+        with pytest.raises(ValueError, match="^archive header is not valid UTF-8$"):
             read_archive(p)
 
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
@@ -127,13 +132,13 @@ class TestReadArchive:
     def test_byte_order_mark_before_wrong_header(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_bytes(b"\xef\xbb\xbftime,station,chan,val\n0,s1,Frequency_Hz,1.0\n")
-        with pytest.raises(SchemaMismatch):
+        with pytest.raises(ValueError, match=_wrong_header("time,station,chan,val")):
             read_archive(p)
 
     def test_only_one_byte_order_mark_dropped(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_bytes(b"\xef\xbb\xbf" * 2 + HEADER.encode() + b"\n0,s1,Frequency_Hz,1.0\n")
-        with pytest.raises(SchemaMismatch):
+        with pytest.raises(ValueError, match=_wrong_header("\ufeff" + HEADER)):
             read_archive(p)
 
     def test_byte_order_mark_inside_data_is_data(self, tmp_path):
@@ -248,9 +253,9 @@ class TestMakeWindows:
 
     def test_dt_mismatch(self):
         records = [ArchiveRecord(i * 80, "s1", Channel.Frequency_Hz, 1.0) for i in range(100)]
-        with pytest.raises(DtMismatch) as exc:
+        message = "stream s1/Frequency_Hz: median spacing 80.000 ms deviates from expected 40.000 ms by more than 10%"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make_windows(records, WindowingPolicy())
-        assert "s1/Frequency_Hz" in str(exc.value)
 
     def test_explicitly_missing_counts_toward_gap(self):
         records = _clean_records(626)
@@ -370,7 +375,7 @@ class TestMakeWindows:
     def test_two_records_off_each_others_grid(self):
         # 45 ms apart, 5 ms off each other's grid: the phase bins tie, so the
         # first record anchors. At 2**54 the float stamps are 44 ms apart,
-        # within 10% of 40 ms, so no DtMismatch is raised, and the second
+        # within 10% of 40 ms, so the spacing is not refused, and the second
         # record's float stamp lies within tolerance of slot 1
         stamps = (2**54, 2**54 + 45)
         policy = WindowingPolicy(window_seconds=0.12, stride_seconds=0.04)
@@ -481,6 +486,29 @@ class TestRoundTrip:
         w2 = windows[0]
         assert np.array_equal(np.asarray(w.samples), np.asarray(w2.samples))
         assert (w2.station_id, w2.channel, w2.t0_ms, w2.dt) == ("stn7", w.channel, 123456, 0.04)
+
+    @pytest.mark.parametrize("station", ["", "tab\tid"], ids=["empty", "inner-tab"])
+    def test_station_id_round_trips(self, tmp_path, station):
+        w = generate(SynthSpec(tones=(ToneSpec(1.0, 1.0),), dt=0.04, count=100), station_id=station)
+        p = tmp_path / "rt.csv"
+        write_archive(p, [w])
+        policy = WindowingPolicy(window_seconds=(w.count - 1) * w.dt, stride_seconds=1.0, expected_dt=w.dt)
+        assert [x.station_id for x in make_windows(read_archive(p), policy)] == [station]
+
+    @pytest.mark.parametrize("station", ["a,b", "a\nb", "a\rb", " pad ", "pad\t"],
+                             ids=["comma", "line-feed", "carriage-return", "padded", "trailing-tab"])
+    def test_unreadable_station_id_refused(self, tmp_path, station):
+        # read back, a comma splits the line, a line break splits the
+        # record and surrounding whitespace is stripped from the id
+        good = generate(SynthSpec(tones=(ToneSpec(1.0, 1.0),), dt=0.04, count=100))
+        bad = dataclasses.replace(good, station_id=station)
+        p = tmp_path / "out.csv"
+        p.write_text("old\n")
+        message = f"station id {station!r} would not read back: it holds a comma, a line break or leading or trailing whitespace"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_archive(p, [good, bad])
+        assert p.read_text() == "old\n"
+        assert [x.name for x in tmp_path.iterdir()] == ["out.csv"]
 
     def test_write_is_atomic_no_tmp_left(self, tmp_path):
         w = generate(SynthSpec(tones=(ToneSpec(1.0, 1.0),), dt=0.04, count=100))
@@ -594,7 +622,7 @@ def _reference_make_windows(records, policy, diagnostics):
             continue
         spacing = float(np.median(np.diff(ts)))
         if abs(spacing - dt_ms) > 0.1 * dt_ms:
-            raise DtMismatch(
+            raise ValueError(
                 f"stream {station}/{channel_value}: median spacing {spacing:.3f} ms "
                 f"deviates from expected {dt_ms:.3f} ms by more than 10%"
             )
@@ -674,8 +702,11 @@ def _windowing_outcome(make, records, policy):
     diagnostics = []
     try:
         windows = make(records, policy, diagnostics)
-    except DtMismatch as exc:
-        return "DtMismatch", str(exc), diagnostics
+    except ValueError as exc:
+        # only the spacing refusal is an outcome; any other error fails
+        if not _SPACING_ERROR.fullmatch(str(exc)):
+            raise
+        return "spacing refused", str(exc), diagnostics
     return [
         (w.station_id, w.channel, type(w.t0_ms), w.t0_ms, w.dt, w.samples.dtype, w.samples.tobytes())
         for w in windows
@@ -683,7 +714,7 @@ def _windowing_outcome(make, records, policy):
 
 
 #: Grid bases, from the epoch to the int64 limits (where float64 timestamps
-#: are 1024 ms apart and every stream is a DtMismatch).
+#: are 1024 ms apart and every stream's spacing is refused).
 _BASES = (0, -1_000_000, 1_700_000_000_000, 2**53 - 4_000, 2**62, 2**63 - 2**20, -(2**63) + 2**20)
 
 

@@ -1,6 +1,8 @@
 import cmath
+import dataclasses
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from lfodetect import (
     SampleWindow,
     SynthSpec,
     ToneSpec,
-    ValidationError,
     characteristic_roots,
     fit_lpm,
     generate,
@@ -204,6 +205,20 @@ class TestCharacteristicRoots:
         roots = characteristic_roots([0.5, 0.0, 0.0])
         assert sorted(abs(r) for r in roots) == pytest.approx([0.0, 0.0, 0.5], abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "a, message",
+        [
+            ([], "coefficient list must be a non-empty 1-d sequence"),
+            ([[0.5, 0.1]], "coefficient list must be a non-empty 1-d sequence"),
+            ([0.5, math.nan], "coefficients must be finite"),
+            ([math.inf], "coefficients must be finite"),
+        ],
+        ids=["empty", "two-dimensional", "nan", "inf"],
+    )
+    def test_rejects_bad_coefficients(self, a, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            characteristic_roots(a)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_companion_eigenvalues(self, seed):
         # independent oracle: numpy's companion-matrix root finder
@@ -240,19 +255,19 @@ class TestRootsToModes:
     # a bad dt is refused when the window is built, so solve_amplitudes
     # is never handed one
     @pytest.mark.parametrize(
-        "roots, dt, error",
+        "roots, dt, message",
         [
-            ([0.9 + 0j], 0.0, ValidationError),
-            ([0.9 + 0j], -0.04, ValidationError),
-            ([0.9 + 0j], math.nan, ValidationError),
-            ([0.9 + 0j], math.inf, ValidationError),
-            ([cmath.exp(0.3j)], 0.04, ValueError),
-            ([0.0 + 0j, 0.9 + 0j], 0.04, ValueError),
+            ([0.9 + 0j], 0.0, "sample interval must be a positive finite number, got 0.0"),
+            ([0.9 + 0j], -0.04, "sample interval must be a positive finite number, got -0.04"),
+            ([0.9 + 0j], math.nan, "sample interval must be a positive finite number, got nan"),
+            ([0.9 + 0j], math.inf, "sample interval must be a positive finite number, got inf"),
+            ([cmath.exp(0.3j)], 0.04, "complex characteristic roots must come in conjugate pairs"),
+            ([0.0 + 0j, 0.9 + 0j], 0.04, "zero roots have no mode; drop them first"),
         ],
         ids=["zero-dt", "negative-dt", "nan-dt", "inf-dt", "unpaired-complex-root", "zero-root"],
     )
-    def test_rejects_invalid_input(self, make_window, roots, dt, error):
-        with pytest.raises(error):
+    def test_rejects_invalid_input(self, make_window, roots, dt, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             solve_amplitudes(make_window(np.ones(20), dt=dt), roots)
 
 
@@ -418,7 +433,7 @@ class TestPronyAnalyze:
     def test_amplitude_scaling_equivariance(self, scale):
         tones = (ToneSpec(1.0, 0.6, phase=0.4, damping=-0.1), ToneSpec(0.5, 1.7, phase=-2.0, damping=0.05))
         w = generate(SynthSpec(tones=tones, dt=0.04, count=400))
-        scaled = w.replace_samples(np.asarray(w.samples) * scale)
+        scaled = dataclasses.replace(w, samples=np.asarray(w.samples) * scale)
         fit, fit_scaled = prony_analyze(w), prony_analyze(scaled)
         assert len(fit.modes) == len(fit_scaled.modes)
         for m in fit.modes:
@@ -436,7 +451,7 @@ class TestPronyAnalyze:
         # the growth factor exp(damping*shift*dt)
         tones = (ToneSpec(1.0, 0.6, phase=0.4, damping=-0.1), ToneSpec(0.5, 1.7, phase=-2.0, damping=0.02))
         w = generate(SynthSpec(tones=tones, dt=0.04, count=400))
-        shifted = w.replace_samples(np.asarray(w.samples)[shift:])
+        shifted = dataclasses.replace(w, samples=np.asarray(w.samples)[shift:])
         fit, fit_shifted = prony_analyze(w, 4), prony_analyze(shifted, 4)
         assert len(fit.modes) == len(fit_shifted.modes) == 2
         tau = shift * w.dt

@@ -192,3 +192,11 @@ class TestInvalidSpecs:
     def test_negative_amplitude_tone(self):
         with pytest.raises(InvalidSpec):
             ToneSpec(-1.0, 1.0)
+
+    @pytest.mark.parametrize("field", ["amplitude", "frequency"])
+    @pytest.mark.parametrize("value", [-1.0, math.nan], ids=["negative", "nan"])
+    def test_negative_or_nan_tone_refused(self, field, value):
+        # a NaN tone would only be caught once its samples came out NaN
+        tone = {"amplitude": 1.0, "frequency": 1.0, field: value}
+        with pytest.raises(InvalidSpec, match=f"^{field} must be >= 0, got {value}$"):
+            ToneSpec(**tone)

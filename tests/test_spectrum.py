@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfodetect import WindowFunction, dft, find_peaks
+from lfodetect import Spectrum, WindowFunction, dft, find_peaks
 
 finite_windows = st.lists(st.floats(-100.0, 100.0), min_size=8, max_size=128)
 
@@ -108,6 +108,21 @@ class TestFindPeaks:
         with pytest.raises(ValueError):
             find_peaks(spec, (0.1, 20.0))
 
+    @pytest.mark.parametrize("band", [(2.0, 0.1), (-0.1, 2.0)], ids=["inverted", "negative-low"])
+    def test_ill_ordered_band_rejected(self, make_window, band):
+        spec = dft(make_window(np.ones(100), dt=0.04))
+        with pytest.raises(ValueError, match=rf"^band must satisfy 0 <= low <= high, got \({band[0]}, {band[1]}\)$"):
+            find_peaks(spec, band)
+
+    def test_flat_log_shoulders_keep_the_bin(self):
+        # one ulp apart near 1e300, the three magnitudes have one logarithm,
+        # so the parabola through them is flat: the peak stays on its bin
+        # instead of dividing by a zero curvature
+        mid = np.nextafter(1e300, np.inf)
+        spec = Spectrum(np.array([0.0, 1e300, mid, 1e300, 0.0, 0.0, 0.0, 0.0]), 0.5)
+        (peak,) = find_peaks(spec, (0.0, 2.0))
+        assert (peak.frequency, peak.magnitude) == (1.0, mid)
+
     def test_band_with_no_bins(self, make_window):
         spec = dft(make_window(np.sin(np.arange(50)), dt=0.04))
         assert find_peaks(spec, (0.21, 0.22)) == []
@@ -148,6 +163,11 @@ class TestFindPeaks:
 
 
 class TestSpectrumAccessors:
+    @pytest.mark.parametrize("df", [0.0, -0.5])
+    def test_bin_width_must_be_positive(self, df):
+        with pytest.raises(ValueError, match=f"^df must be positive, got {df}$"):
+            Spectrum(np.ones(8), df)
+
     def test_one_sided(self, make_window):
         spec = dft(make_window(np.sin(np.arange(100)), dt=0.04))
         freqs, mags, phases = spec.one_sided()
