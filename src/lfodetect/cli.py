@@ -13,6 +13,7 @@ Exit codes: 0 success / no critical alarm, 2 usage or input error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -95,8 +96,9 @@ def _archive_command(sub, name: str, summary: str, func) -> argparse.ArgumentPar
     parser.add_argument("archive", type=Path)
     helps = ("analysis window length", "window advance", "sample interval in seconds")
     for key, text in zip(_POLICY_KEYS, helps):
-        parser.add_argument(f"--{key.replace('_', '-')}", type=float, default=None,
-                            help=f"{text} (default {getattr(WindowingPolicy, key):g})")
+        default = getattr(WindowingPolicy, key)
+        parser.add_argument(f"--{key.replace('_', '-')}", type=float, default=default,
+                            help=f"{text} (default {default:g})")
     parser.add_argument("--out-dir", type=Path, default=Path("."), help="output directory (default: cwd)")
     parser.set_defaults(func=func)
     return parser
@@ -137,29 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_detect(args, policy: WindowingPolicy) -> AnalysisConfig:
-    cfg = AnalysisConfig(emd_band_hz=args.band or AnalysisConfig.emd_band_hz)
-    spectrum.check_band_below_nyquist(cfg.emd_band_hz, 0.5 / policy.expected_dt)
-    return cfg
-
-
-def _resolve_spectrum_band(args, policy: WindowingPolicy) -> tuple[float, float] | None:
-    if args.band is not None and not args.band[0] < args.band[1]:
-        raise ValueError(f"band must satisfy low < high, got {args.band}")
-    return args.band
-
-
-def _resolve_settings(args, resolve):
-    """(policy, resolve(args, policy)): the windowing policy from the flags
-    and their defaults, then `resolve`'s configuration of the command,
-    checked against the policy.
-
-    Raises:
-        ValueError: a value is out of range ("invalid setting: ...").
-    """
+@contextlib.contextmanager
+def _settings():
+    """Around a command's settings: a value out of range raises ValueError
+    ("invalid setting: ...")."""
     try:
-        policy = WindowingPolicy(**{key: getattr(args, key) for key in _POLICY_KEYS if getattr(args, key) is not None})
-        return policy, resolve(args, policy)
+        yield
     except ValueError as exc:
         raise ValueError(f"invalid setting: {exc}") from exc
 
@@ -177,24 +162,6 @@ def _window_prefix(w) -> str:
     """The window's artifact name stem. A station id never steers the
     file out of --out-dir, and distinct ids give distinct names."""
     return f"{w.station_id.translate(_STATION_ESCAPES)}_{w.channel.value}_{w.t0_ms}"
-
-
-def _manifest(command: str, policy, config: dict, archive: Path, entries, diagnostics, report, extra) -> dict:
-    manifest = {
-        "tool": {"name": "lfodetect", "version": __version__},
-        "command": command,
-        "inputs": [{"path": str(archive), "sha256": _sha256(archive)}],
-        # the fixed gap rule follows the settable fields
-        "windowing": {**dataclasses.asdict(policy), "max_gap_fraction": MAX_GAP_FRACTION},
-        "config": config,
-        "windows": entries,
-        "skipped_windows": diagnostics,
-        "parse_issues": report.issues,
-        "artifacts": sorted({a for e in entries for a in e["artifacts"]} | set(extra)),
-    }
-    if not entries:
-        manifest["note"] = "no windows"
-    return manifest
 
 
 def _run(args, command: str, policy, config: dict, analyse, finish=None) -> None:
@@ -222,7 +189,20 @@ def _run(args, command: str, policy, config: dict, analyse, finish=None) -> None
                         "t0_ms": w.t0_ms, "samples": w.count,
                         "outcome": outcome, "artifacts": artifacts})
     extra = finish() if finish is not None else []
-    manifest = _manifest(command, policy, config, args.archive, entries, diagnostics, report, extra)
+    manifest = {
+        "tool": {"name": "lfodetect", "version": __version__},
+        "command": command,
+        "inputs": [{"path": str(args.archive), "sha256": _sha256(args.archive)}],
+        # the fixed gap rule follows the settable fields
+        "windowing": {**dataclasses.asdict(policy), "max_gap_fraction": MAX_GAP_FRACTION},
+        "config": config,
+        "windows": entries,
+        "skipped_windows": diagnostics,
+        "parse_issues": report.issues,
+        "artifacts": sorted({a for e in entries for a in e["artifacts"]} | set(extra)),
+    }
+    if not entries:
+        manifest["note"] = "no windows"
     _atomic_write(args.out_dir / "run_manifest.json", [json.dumps(manifest, indent=2), "\n"])
     if not windows:
         print("no windows")
@@ -285,7 +265,8 @@ def _write_imf_dump(path: Path, window, imf_set) -> None:
 
 
 def cmd_analyze(args) -> int:
-    def resolve(args, policy: WindowingPolicy) -> AnalysisConfig:
+    with _settings():
+        policy = WindowingPolicy(args.window_seconds, args.stride_seconds, args.expected_dt)
         # only the EMD band-pass reads the band
         if args.band is not None and not args.emd:
             raise ValueError("band applies only with --emd")
@@ -294,9 +275,6 @@ def cmd_analyze(args) -> int:
             prony.check_order(policy.window_samples, args.order)
         if args.emd:
             spectrum.check_band_below_nyquist(cfg.emd_band_hz, 0.5 / policy.expected_dt)
-        return cfg
-
-    policy, cfg = _resolve_settings(args, resolve)
 
     def analyse(w, prefix):
         imf_set = emd.decompose(w) if args.emd or args.dump_imfs else None
@@ -327,7 +305,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    policy, cfg = _resolve_settings(args, _resolve_detect)
+    with _settings():
+        policy = WindowingPolicy(args.window_seconds, args.stride_seconds, args.expected_dt)
+        cfg = AnalysisConfig(emd_band_hz=args.band or AnalysisConfig.emd_band_hz)
+        spectrum.check_band_below_nyquist(cfg.emd_band_hz, 0.5 / policy.expected_dt)
     alarms = []
 
     def analyse(w, prefix):
@@ -346,7 +327,11 @@ def cmd_detect(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    policy, band = _resolve_settings(args, _resolve_spectrum_band)
+    band = args.band
+    with _settings():
+        policy = WindowingPolicy(args.window_seconds, args.stride_seconds, args.expected_dt)
+        if band is not None and not band[0] < band[1]:
+            raise ValueError(f"band must satisfy low < high, got {band}")
     window_fn = spectrum.WindowFunction(args.window_fn)
 
     def analyse(w, prefix):

@@ -123,9 +123,8 @@ class SampleWindow:
             `make_windows` cuts from one stream are read-only views of one
             frozen buffer per stream, which holds the stream's filled
             slots only, so overlapping windows share memory instead of
-            each holding its own copy; where that buffer would outweigh
-            the gapless windows' copies, each holds a copy, so views never
-            hold more memory than copies would.
+            each holding its own copy, and a stream's windows keep alive
+            at most its filled values.
     """
 
     station_id: str
@@ -206,6 +205,8 @@ class PronyMode:
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
         if not self.frequency >= 0:
             raise ValueError(f"frequency must be >= 0, got {self.frequency}")
+        if not math.isfinite(self.damping):
+            raise ValueError(f"damping must be finite, got {self.damping}")
         if not (-math.pi < self.phase <= math.pi):
             raise ValueError(f"phase must lie in (-pi, pi], got {self.phase}")
         if not (0.0 <= self.energy_fraction <= 1.0):

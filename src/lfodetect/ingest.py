@@ -210,10 +210,9 @@ def make_windows(
     freed when its records are sorted. Each stream is held as its filled
     slots and their values, so an outage costs no memory. The values are
     frozen, and every gapless window is a read-only view of them;
-    interpolated windows own their samples. A view keeps all of the
-    stream's values alive, so a stream whose gapless windows hold fewer
-    samples in all than it has filled slots gives each window a copy
-    instead: views never hold more memory than copies would.
+    interpolated windows own their samples. So a stream's windows keep
+    alive at most its filled values, 8 bytes a sample: half the 16 bytes
+    a record that grouping its records already held.
     Timestamps must fit in int64, as `read_archive` ensures.
 
     Raises:
@@ -305,9 +304,6 @@ def _stream_windows(
     # a window's filled slots are one run of `slots`, two binary searches apart
     firsts = np.searchsorted(slots, starts)
     counts = width - (np.searchsorted(slots, starts + width) - firsts)
-    # views keep the whole buffer alive, so the stream is shared only where
-    # its gapless windows' copies would hold as much
-    share = np.count_nonzero(counts == 0) * width >= values.size
     windows = []
 
     def t0_of(g: int) -> int:
@@ -332,17 +328,16 @@ def _stream_windows(
             skip(f"window t0={t0} skipped, {n_missing}/{width} samples missing")
             continue
         last = first + width - n_missing
-        segment = values[first:last]
         if n_missing:
-            # gapless windows are slices of finite values, never overflowed
-            segment = np.interp(np.arange(width), slots[first:last] - start, segment)
+            # gapless windows are slices of finite values, never overflowed;
+            # the window copies its interpolated samples
+            segment = np.interp(np.arange(width), slots[first:last] - start, values[first:last])
             overflow = np.flatnonzero(~np.isfinite(segment))
             if overflow.size:
                 skip(f"window t0={t0} skipped, interpolated sample {overflow[0]} is not finite")
                 continue
-            segment.flags.writeable = False
-        if n_missing or share:
-            segment = _Shared(segment)
+        else:
+            segment = _Shared(values[first:last])
         windows.append(SampleWindow(station, channel, t0, policy.expected_dt, segment))
     skip_empty(next_g, g_last)
     return windows

@@ -39,6 +39,9 @@ class ToneSpec:
             raise InvalidSpec(f"amplitude must be >= 0, got {self.amplitude}")
         if not self.frequency >= 0:
             raise InvalidSpec(f"frequency must be >= 0, got {self.frequency}")
+        for name in ("frequency", "damping", "phase"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidSpec(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

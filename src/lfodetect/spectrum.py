@@ -33,8 +33,10 @@ class Spectrum:
 
     def __post_init__(self):
         object.__setattr__(self, "bins", _readonly(self.bins, complex))
-        if self.df <= 0:
+        if not self.df > 0:
             raise ValueError(f"df must be positive, got {self.df}")
+        if not math.isfinite(self.df):
+            raise ValueError(f"df must be finite, got {self.df}")
 
     @property
     def count(self) -> int:

@@ -61,8 +61,9 @@ class TestSynth:
     @pytest.mark.parametrize(
         "tone, message",
         [("a,b", "bad tone 'a,b'"), ("-1,0.5", "amplitude must be >= 0, got -1.0"),
-         ("nan,0.5", "amplitude must be >= 0, got nan")],
-        ids=["not-a-number", "negative-amplitude", "nan-amplitude"],
+         ("nan,0.5", "amplitude must be >= 0, got nan"), ("1,inf", "frequency must be finite, got inf"),
+         ("1,0.5,nan", "damping must be finite, got nan"), ("1,0.5,0,nan", "phase must be finite, got nan")],
+        ids=["not-a-number", "negative-amplitude", "nan-amplitude", "inf-frequency", "nan-damping", "nan-phase"],
     )
     def test_bad_tone_value_is_usage_error(self, tmp_path, capsys, tone, message):
         out = tmp_path / "a.csv"

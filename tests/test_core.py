@@ -242,6 +242,11 @@ class TestPronyMode:
         with pytest.raises(ValueError, match=f"^{field} must be >= 0, got {value}$"):
             PronyMode(**fields)
 
+    @pytest.mark.parametrize("damping", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_damping(self, damping):
+        with pytest.raises(ValueError, match=f"^damping must be finite, got {damping}$"):
+            PronyMode(amplitude=1.0, damping=damping, frequency=1.0, phase=0.0)
+
     def test_rejects_out_of_range_phase(self):
         with pytest.raises(ValueError):
             PronyMode(amplitude=1.0, damping=0.0, frequency=1.0, phase=4.0)

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfodetect import (
@@ -332,3 +332,46 @@ def test_match_in_classification_gap_raises_no_alarm(frequency, classes):
     assert detector.match_modes(report.prony_fit.modes, report.fft_peaks, tol) == [(mode, peak)]
     assert classify(0.5 * (mode.frequency + peak.frequency)) == frozenset(classes)
     assert [a.classes for a in report.alarms] == ([classes] if classes else [])
+
+
+_tone = st.builds(ToneSpec, amplitude=st.floats(0.01, 0.2), frequency=st.floats(0.15, 1.9),
+                  phase=st.floats(-3.14, 3.14), damping=st.floats(-0.2, 0.08))
+
+
+def _moved_by_pi(a: float, b: float) -> bool:
+    """b - a is pi modulo 2 pi, within 1e-9."""
+    d = (b - a - np.pi) % (2 * np.pi)
+    return min(d, 2 * np.pi - d) <= 1e-9
+
+
+def _mode_count(report) -> int | None:
+    return None if report.prony_fit is None else len(report.prony_fit.modes)
+
+
+class TestExactSymmetries:
+    """`detect` has symmetries that hold bit for bit: a refactor that, say,
+    makes one side of a threshold strict breaks them without touching any
+    golden output."""
+
+    @settings(max_examples=60)
+    @given(tones=st.lists(_tone, max_size=3), snr_db=st.floats(20.0, 50.0), seed=st.integers(0, 2**31 - 1))
+    def test_negation_and_relabelling(self, tones, snr_db, seed):
+        # no tone gives a noise-only window
+        w = generate(SynthSpec(tones=tuple(tones), dt=0.04, count=626, noise_snr_db=snr_db if tones else None,
+                               noise_sigma=None if tones else 0.01, rng_seed=seed))
+        report = detect(w)
+        negated = detect(dataclasses.replace(w, samples=-w.samples))
+        assert _mode_count(negated) == _mode_count(report)
+        assert len(negated.alarms) == len(report.alarms)
+        for a, n in zip(report.alarms, negated.alarms):
+            assert (n.classes, n.severity, n.growing, n.matched_frequency_hz) == (
+                a.classes, a.severity, a.growing, a.matched_frequency_hz)
+            m, p = a.prony_mode, a.fft_peak
+            assert (n.prony_mode.frequency, n.prony_mode.damping, n.prony_mode.amplitude) == (
+                m.frequency, m.damping, m.amplitude)
+            assert (n.fft_peak.frequency, n.fft_peak.magnitude) == (p.frequency, p.magnitude)
+            assert _moved_by_pi(m.phase, n.prony_mode.phase) and _moved_by_pi(p.phase, n.fft_peak.phase)
+
+        label = {"station_id": "other", "channel": Channel.VoltageMag_pu, "t0_ms": 1_700_000_000_000}
+        relabelled = detect(dataclasses.replace(w, **label))
+        assert list(relabelled.alarms) == [dataclasses.replace(a, **label) for a in report.alarms]

@@ -293,16 +293,20 @@ class TestMakeWindows:
         held = {id(a): a for a in (w.samples if w.samples.base is None else w.samples.base for w in windows)}
         assert sum(a.size for a in held.values()) <= 3002
 
-    def test_gapless_window_copied_when_stream_buffer_is_larger(self):
+    def test_scattered_loss_windows_hold_at_most_filled_values(self):
         # scattered single losses after a clean first window: the one gapless
-        # window holds 626 samples, the stream buffer 1 494
+        # window is a view of the stream's 1 494 filled values, and the 7
+        # interpolated windows own their samples, so the windows keep alive
+        # 8 bytes a filled slot at most, half what grouping held per record
         records = [r for i, r in enumerate(_clean_records(1501)) if i < 626 or i % 125 != 60]
         windows = make_windows(records, WindowingPolicy())
         assert len(windows) == 8
         gapless, gappy = windows[0], windows[1:]
         assert np.array_equal(gapless.samples, [r.value for r in records[:626]])
-        assert gapless.samples.flags.owndata and not gapless.samples.flags.writeable
-        assert not any(np.shares_memory(gapless.samples, w.samples) for w in gappy)
+        stream = gapless.samples.base
+        assert stream is not None and not stream.flags.writeable
+        assert stream.nbytes <= 8 * len(records)
+        assert all(w.samples.flags.owndata and not np.shares_memory(w.samples, stream) for w in gappy)
 
     def test_outage_costs_no_memory(self, caplog):
         # one day of outage between two minutes of data: 2.16M grid slots,

@@ -200,3 +200,14 @@ class TestInvalidSpecs:
         tone = {"amplitude": 1.0, "frequency": 1.0, field: value}
         with pytest.raises(InvalidSpec, match=f"^{field} must be >= 0, got {value}$"):
             ToneSpec(**tone)
+
+    @pytest.mark.parametrize("field, value", [
+        ("frequency", math.inf), ("damping", math.nan), ("damping", math.inf), ("damping", -math.inf),
+        ("phase", math.nan), ("phase", -math.inf),
+    ])
+    def test_non_finite_tone_refused(self, field, value):
+        # refused where the tone is built, not once its samples come out
+        # non-finite with an overflow as the stated cause
+        tone = {"amplitude": 1.0, "frequency": 1.0, field: value}
+        with pytest.raises(InvalidSpec, match=f"^{field} must be finite, got {value}$"):
+            ToneSpec(**tone)

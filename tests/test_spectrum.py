@@ -163,10 +163,14 @@ class TestFindPeaks:
 
 
 class TestSpectrumAccessors:
-    @pytest.mark.parametrize("df", [0.0, -0.5])
+    @pytest.mark.parametrize("df", [0.0, -0.5, float("nan")])
     def test_bin_width_must_be_positive(self, df):
         with pytest.raises(ValueError, match=f"^df must be positive, got {df}$"):
             Spectrum(np.ones(8), df)
+
+    def test_bin_width_must_be_finite(self):
+        with pytest.raises(ValueError, match="^df must be finite, got inf$"):
+            Spectrum(np.ones(8), float("inf"))
 
     def test_one_sided(self, make_window):
         spec = dft(make_window(np.sin(np.arange(100)), dt=0.04))
